@@ -418,19 +418,16 @@ let check_barrier_allocation () =
    steady-state send -> link -> deliver loop over ring-slot packets:
    each iteration acquires a slot (recycled frame), pushes it down a
    pooled link, and the delivery retires it back into the ring.  The
-   per-packet wall-clock must stay within 2x the raw engine event cost
-   and the loop must not touch the minor heap. *)
-let forward_path_measure ~fusing =
+   per-packet wall-clock must stay within 4x the raw engine event cost
+   ([tools/bench_gate.py]) and the loop must not touch the minor heap. *)
+let check_forward_path () =
   let engine = Mmt_sim.Engine.create () in
   let ring = Mmt_sim.Ring.create () in
   let pool = Mmt_sim.Ring.pool ring in
-  let delivered = ref 0 in
   let link =
     Mmt_sim.Link.create ~engine ~name:"fwd" ~rate:(Units.Rate.gbps 100.)
-      ~propagation:(Units.Time.us 1.) ~pool ~ring ~fusing
-      ~deliver:(fun p ->
-        incr delivered;
-        Mmt_sim.Ring.in_packet_done ring p)
+      ~propagation:(Units.Time.us 1.) ~pool ~ring
+      ~deliver:(Mmt_sim.Ring.in_packet_done ring)
       ()
   in
   let forward i =
@@ -472,39 +469,21 @@ let forward_path_measure ~fusing =
       float_of_int pstats.Mmt_sim.Pool.recycled
       /. float_of_int pstats.Mmt_sim.Pool.acquired
   in
-  (ns, words, rstats, recycle_ratio, !delivered, Mmt_sim.Link.stats link)
-
-let check_forward_path () =
-  let f_ns, f_words, f_ring, f_recycle, f_delivered, f_stats =
-    forward_path_measure ~fusing:true
-  in
-  let u_ns, u_words, _, _, u_delivered, u_stats =
-    forward_path_measure ~fusing:false
-  in
-  (* The CLI-level byte-identity of fused vs unfused runs is covered by
-     the test suite; here the two loops just ran the same traffic, so
-     their ledgers must agree exactly. *)
-  let identical = f_delivered = u_delivered && f_stats = u_stats in
   Printf.printf
-    "forward path fused (ring slot -> link -> deliver -> retire): %.0f ns, \
-     %.3f minor words/packet %s\n"
-    f_ns f_words
-    (if f_words < 0.5 then "(allocation-free)" else "(ALLOCATES)");
-  Printf.printf
-    "forward path unfused: %.0f ns, %.3f minor words/packet %s; ledgers %s\n"
-    u_ns u_words
-    (if u_words < 0.5 then "(allocation-free)" else "(ALLOCATES)")
-    (if identical then "identical" else "DIFFER");
+    "forward path (ring slot -> link -> deliver -> retire): %.0f ns, %.3f \
+     minor words/packet %s\n"
+    ns words
+    (if words < 0.5 then "(allocation-free)" else "(ALLOCATES)");
   Printf.printf
     "forward-path ring: %d slots, %d acquires, %d retired, %d overflow; pool \
      recycle ratio %.3f\n"
-    f_ring.Mmt_sim.Ring.capacity f_ring.Mmt_sim.Ring.acquired
-    f_ring.Mmt_sim.Ring.retired f_ring.Mmt_sim.Ring.overflow f_recycle;
-  (f_ns, f_words, f_ring, f_recycle, u_ns, u_words, identical)
+    rstats.Mmt_sim.Ring.capacity rstats.Mmt_sim.Ring.acquired
+    rstats.Mmt_sim.Ring.retired rstats.Mmt_sim.Ring.overflow recycle_ratio;
+  (ns, words, rstats, recycle_ratio)
 
 (* Where the per-hop nanoseconds go: each component of the forward path
    measured in isolation with the same timed-loop method.  The residual
-   against the fused total is the link bookkeeping proper (stats,
+   against the per-hop total is the link bookkeeping proper (stats,
    transmit chain, flight queue, dispatch). *)
 let check_forward_breakdown ~forward_ns () =
   let n = 200_000 in
@@ -556,14 +535,13 @@ let check_forward_breakdown ~forward_ns () =
   in
   loss_loop 10_000;
   let loss_ns = time loss_loop in
-  (* The fused hop pays for two event executions (stage + final); the
+  (* A hop pays for two event executions (serialize + propagate); the
      perfect loss model of the forward link draws nothing, so the loss
      line is informative rather than a component of the total. *)
   let accounted = (2. *. heap_ns) +. slot_ns +. queue_ns in
   let residual = Stdlib.max 0. (forward_ns -. accounted) in
-  Printf.printf "forward-path breakdown (per hop, fused total %.0f ns):\n"
-    forward_ns;
-  Printf.printf "  heap ops (2 events: stage + final): %.1f ns\n"
+  Printf.printf "forward-path breakdown (per hop total %.0f ns):\n" forward_ns;
+  Printf.printf "  heap ops (2 events: serialize + propagate): %.1f ns\n"
     (2. *. heap_ns);
   Printf.printf "  ring slot acquire + retire: %.1f ns\n" slot_ns;
   Printf.printf "  queue enqueue + poll: %.1f ns\n" queue_ns;
@@ -771,13 +749,7 @@ let write_json ~path ~quota ~limit ~jobs ~micro ~alloc_words ~sharded
   let sh_flows, sh_shards, sh_cores, sh_seq_wall, sh_wall, sh_identical =
     sharded
   in
-  let ( fwd_ns,
-        fwd_words,
-        (fwd_ring : Mmt_sim.Ring.stats),
-        fwd_recycle,
-        fwd_unfused_ns,
-        fwd_unfused_words,
-        fwd_identical ) =
+  let fwd_ns, fwd_words, (fwd_ring : Mmt_sim.Ring.stats), fwd_recycle =
     forward
   in
   let pa_pooled, pa_plain, pa_events, pa_delivered, pa_ring, pa_recycle =
@@ -810,13 +782,6 @@ let write_json ~path ~quota ~limit ~jobs ~micro ~alloc_words ~sharded
     (Printf.sprintf "    \"alloc_minor_words_per_packet\": %.3f,\n" fwd_words);
   Buffer.add_string buf
     (Printf.sprintf "    \"pool_recycle_ratio\": %.4f,\n" fwd_recycle);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"ns_per_packet_unfused\": %.1f,\n" fwd_unfused_ns);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"alloc_minor_words_per_packet_unfused\": %.3f,\n"
-       fwd_unfused_words);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"fused_unfused_identical\": %b,\n" fwd_identical);
   Buffer.add_string buf
     (Printf.sprintf "    \"ring\": %s\n" (ring_json fwd_ring));
   Buffer.add_string buf "  },\n";
@@ -924,7 +889,7 @@ let run json jobs quota limit =
   let barrier_words = check_barrier_allocation () in
   print_newline ();
   let forward = check_forward_path () in
-  let forward_ns, _, _, _, _, _, _ = forward in
+  let forward_ns, _, _, _ = forward in
   let breakdown = check_forward_breakdown ~forward_ns () in
   print_newline ();
   let pilot_audit = check_pilot_allocation () in

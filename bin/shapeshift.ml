@@ -146,18 +146,8 @@ let pilot_cmd =
              Pooling changes the allocator only: the results are \
              byte-identical either way.")
   in
-  let no_fuse =
-    Arg.(
-      value & flag
-      & info [ "no-fuse" ]
-          ~doc:
-            "Disable fused link hops (every hop schedules a serialize \
-             event followed by a propagate event, as before PR 9).  \
-             Fusing changes event mechanics only: the results are \
-             byte-identical either way.")
-  in
   let run profile fragments loss corrupt researchers deadline_ms seed int_flag
-      shards no_pool no_fuse =
+      shards no_pool =
     let config =
       {
         Mmt_pilot.Pilot.default_config with
@@ -179,10 +169,7 @@ let pilot_cmd =
     let shards =
       if shards = 0 then Mmt_util.Task_pool.recommended_jobs () else shards
     in
-    let pilot =
-      Mmt_pilot.Pilot.build ~shards ~pooling:(not no_pool)
-        ~fusing:(not no_fuse) config
-    in
+    let pilot = Mmt_pilot.Pilot.build ~shards ~pooling:(not no_pool) config in
     Mmt_pilot.Pilot.run pilot;
     let r = Mmt_pilot.Pilot.results pilot in
     let receiver = r.Mmt_pilot.Pilot.receiver in
@@ -230,7 +217,7 @@ let pilot_cmd =
     (Cmd.info "pilot" ~doc:"Run the Fig. 4 pilot topology with custom parameters.")
     Term.(
       const run $ profile_arg $ fragments $ loss $ corrupt $ researchers
-      $ deadline_ms $ seed $ int_flag $ shards $ no_pool $ no_fuse)
+      $ deadline_ms $ seed $ int_flag $ shards $ no_pool)
 
 (* `shapeshift telemetry` ---------------------------------------------------- *)
 
@@ -401,16 +388,8 @@ let chaos_cmd =
   let show_log =
     Arg.(value & flag & info [ "log" ] ~doc:"Print the applied-fault log.")
   in
-  let no_fuse =
-    Arg.(
-      value & flag
-      & info [ "no-fuse" ]
-          ~doc:
-            "Disable fused link hops.  Fusing changes event mechanics \
-             only: the outcomes are byte-identical either way.")
-  in
-  let print_outcome name (params : Mmt_pilot.Chaos_run.params) show_log fusing =
-    let o = Mmt_pilot.Chaos_run.run ~fusing params in
+  let print_outcome name (params : Mmt_pilot.Chaos_run.params) show_log =
+    let o = Mmt_pilot.Chaos_run.run params in
     let module C = Mmt_pilot.Chaos_run in
     let table =
       Table.create
@@ -457,7 +436,7 @@ let chaos_cmd =
         print_newline ());
     o.C.violations = []
   in
-  let run list_flag scenario fragments show_log no_fuse =
+  let run list_flag scenario fragments show_log =
     let scenarios = Mmt_experiments.Chaos.scenarios in
     if list_flag then begin
       List.iter (fun (name, _) -> print_endline name) scenarios;
@@ -494,7 +473,7 @@ let chaos_cmd =
                   | Some n ->
                       { params with Mmt_pilot.Chaos_run.fragment_count = n }
                 in
-                print_outcome name params show_log (not no_fuse) && ok)
+                print_outcome name params show_log && ok)
               true selected
           in
           if ok then 0 else 1
@@ -505,7 +484,7 @@ let chaos_cmd =
          "Run the fault-injection series: kill buffers, flip header bits on \
           the wire, flap links, blackhole adverts — and check the delivery \
           invariants.")
-    Term.(const run $ list_flag $ scenario $ fragments $ show_log $ no_fuse)
+    Term.(const run $ list_flag $ scenario $ fragments $ show_log)
 
 (* `shapeshift campaign` ----------------------------------------------------- *)
 
@@ -700,15 +679,6 @@ let facility_cmd =
              Pooling changes the allocator only: the report is \
              byte-identical either way.")
   in
-  let no_fuse =
-    Arg.(
-      value & flag
-      & info [ "no-fuse" ]
-          ~doc:
-            "Disable fused link hops (two engine events per hop, as \
-             before PR 9).  Fusing changes event mechanics only: the \
-             report is byte-identical either way.")
-  in
   let gc_minor_kb =
     Arg.(
       value
@@ -720,7 +690,7 @@ let facility_cmd =
              stop-the-world minor collections across shard windows.")
   in
   let run min_flows max_flows jobs shards seed duration_ms loss plan no_pool
-      no_fuse gc_minor_kb =
+      gc_minor_kb =
     if jobs < 0 then begin
       Printf.eprintf "shapeshift facility: --jobs must be 0 (auto) or positive\n";
       2
@@ -766,8 +736,7 @@ let facility_cmd =
             in
             let output, ok =
               Mmt_experiments.Facility.report ~jobs ~shards
-                ~pooling:(not no_pool) ~fusing:(not no_fuse) ?gc ~base ~points
-                ()
+                ~pooling:(not no_pool) ?gc ~base ~points ()
             in
             print_string output;
             print_newline ();
@@ -783,7 +752,7 @@ let facility_cmd =
           shared WAN bottleneck.")
     Term.(
       const run $ min_flows $ max_flows $ jobs $ shards $ seed $ duration_ms
-      $ loss $ plan $ no_pool $ no_fuse $ gc_minor_kb)
+      $ loss $ plan $ no_pool $ gc_minor_kb)
 
 (* `shapeshift trace` ----------------------------------------------------------- *)
 

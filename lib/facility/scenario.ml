@@ -634,11 +634,11 @@ let build ?(on_deliver = fun ~flow:_ ~seq:_ -> ()) config topo =
   in
   { workloads; receivers; buffers; rewriters; senders }
 
-let run ?(shards = 1) ?(pooling = true) ?(fusing = true) ?gc config =
+let run ?(shards = 1) ?(pooling = true) ?gc config =
   if config.flows < 1 then invalid_arg "Scenario.run: flows must be positive";
   if config.sinks < 1 then invalid_arg "Scenario.run: sinks must be positive";
   let topo, { workloads; receivers; buffers; _ }, runner =
-    Mmt_sim.Shard.build ~shards ~pooling ~fusing (build config)
+    Mmt_sim.Shard.build ~shards ~pooling (build config)
   in
   (* Run to quiescence; the cap is a safety bound well past the worst
      NAK-retry chain, not a working deadline. *)

@@ -115,7 +115,6 @@ type result = {
 val run :
   ?shards:int ->
   ?pooling:bool ->
-  ?fusing:bool ->
   ?gc:Mmt_sim.Shard.gc_tuning ->
   config ->
   result
@@ -131,9 +130,6 @@ val run :
     number of cut components fold back; [shards <= 1] runs the plain
     sequential engine.
 
-    [fusing] (default [true]) collapses uncongested hops into single
-    engine events ({!Mmt_sim.Link.create}); [fusing:false] opts out,
-    with byte-identical results either way.
     [pooling] (default [true]) gives every shard a preallocated packet
     {!Mmt_sim.Ring} through which the whole forwarding path recycles
     records and frames; [pooling:false] opts out (pure-GC allocation).

@@ -13,8 +13,7 @@ let effective_jobs jobs n =
   let requested = if jobs <= 0 then cap else min jobs cap in
   max 1 (min requested n)
 
-let run ?(jobs = 1) ?(shards = 1) ?(pooling = true) ?(fusing = true) ?gc
-    ~base ~points () =
+let run ?(jobs = 1) ?(shards = 1) ?(pooling = true) ?gc ~base ~points () =
   let points = Array.of_list points in
   let n = Array.length points in
   let results = Array.make n None in
@@ -23,8 +22,7 @@ let run ?(jobs = 1) ?(shards = 1) ?(pooling = true) ?(fusing = true) ?gc
     results.(i) <-
       Some
         ( flows,
-          Scenario.run ~shards ~pooling ~fusing ?gc
-            { base with Scenario.flows } )
+          Scenario.run ~shards ~pooling ?gc { base with Scenario.flows } )
   in
   let jobs = effective_jobs jobs n in
   if jobs = 1 then

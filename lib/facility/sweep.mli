@@ -15,7 +15,6 @@ val run :
   ?jobs:int ->
   ?shards:int ->
   ?pooling:bool ->
-  ?fusing:bool ->
   ?gc:Mmt_sim.Shard.gc_tuning ->
   base:Scenario.config ->
   points:int list ->
@@ -27,5 +26,5 @@ val run :
     parallelizes {e within} each point via {!Scenario.run} — the two
     axes compose, and neither changes a byte of output.  Prefer
     [jobs] when there are many points and [shards] when one huge
-    point dominates.  [pooling], [fusing] and [gc] pass through to
+    point dominates.  [pooling] and [gc] pass through to
     {!Scenario.run} for every point. *)

@@ -510,9 +510,9 @@ let construct config topo =
     int_state;
   }
 
-let build ?(shards = 1) ?(pooling = true) ?(fusing = true) config =
+let build ?(shards = 1) ?(pooling = true) config =
   let _topo, t, runner =
-    Mmt_sim.Shard.build ~shards ~pooling ~fusing (construct config)
+    Mmt_sim.Shard.build ~shards ~pooling (construct config)
   in
   { t with runner }
 

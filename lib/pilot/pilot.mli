@@ -58,7 +58,7 @@ val default_config : config
 
 type t
 
-val build : ?shards:int -> ?pooling:bool -> ?fusing:bool -> config -> t
+val build : ?shards:int -> ?pooling:bool -> config -> t
 (** Construct the pilot.  [shards] (default 1) asks for domain-per-core
     parallel execution: the topology is cut at its WAN links (all at or
     above {!Mmt_sim.Link.cut_threshold}) and the resulting components —
@@ -66,11 +66,7 @@ val build : ?shards:int -> ?pooling:bool -> ?fusing:bool -> config -> t
     spread over up to [shards] engines via {!Mmt_sim.Shard.build}.
     Results are byte-identical to the sequential run.  Falls back to
     sequential when [shards < 2] or the cut yields fewer than two
-    components (e.g. a sub-millisecond [wan_rtt]).  [fusing] (default
-    [true]) lets uncongested intra-site hops collapse into single
-    engine events ({!Mmt_sim.Link.create}); [fusing:false] is the
-    [--no-fuse] differential switch — both settings produce
-    byte-identical results.  [pooling] (default
+    components (e.g. a sub-millisecond [wan_rtt]).  [pooling] (default
     [true]) gives every shard a packet {!Mmt_sim.Ring}; [pooling:false]
     opts out — either way the results are byte-identical. *)
 

@@ -28,7 +28,6 @@ type t = {
   (* slot table, parallel, indexed by slot id *)
   mutable s_fn : (unit -> unit) array;
   mutable s_gen : int array;
-  mutable s_next : int array; (* equal-time chain successor; -1 terminates *)
   mutable s_free : int array; (* freelist chain; -1 terminates *)
   mutable free_head : int;
   mutable clock : int; (* ns *)
@@ -37,37 +36,6 @@ type t = {
   mutable processed : int;
   mutable last_at : int; (* ns timestamp of the last executed event *)
   mutable cancelled_in_heap : int;
-  (* Same-timestamp batching cache.  [cache_tail] is the slot holding
-     the highest ordinary sequence number at instant [cache_at], or -1
-     when no such slot is known.  An ordinary schedule at exactly
-     [cache_at] appends to that slot's intrusive [s_next] chain instead
-     of pushing a fresh heap entry: the chain rides on the heap entry
-     that heads it, so N same-instant events cost one sift-up (the
-     head's) plus one final sift-down instead of N of each.  Appending
-     preserves the total (at, seq) order because sequence numbers are
-     assigned in scheduling order: while the cache is valid, *every*
-     ordinary schedule at [cache_at] lands on the chain, so the chain
-     is exactly the ascending-seq suffix of that instant and no other
-     heap entry's key can fall inside it.  [free_slot] invalidates the
-     cache the moment the tail slot dies, which is the only way it can
-     go stale. *)
-  mutable cache_at : int;
-  mutable cache_tail : int;
-  (* Staged (two-phase) events.  A staged entry fires twice from one
-     heap slot: when it first reaches the root its callback runs *in
-     place* -- the entry is not popped -- and may call advance_current
-     to re-arm the same entry at a later instant with a freshly drawn
-     sequence number and a new callback.  The re-key is one sift-down
-     instead of the pop + push + slot-recycle a second event would
-     cost, and because the sequence number is drawn at the stage
-     instant, the (at, seq) keys the heap sees are exactly those of
-     the two-event schedule.  [staging] guards advance_current;
-     [adv_at] < 0 after the callback returns means the event dies. *)
-  mutable s_staged : bool array;
-  mutable staging : bool;
-  mutable adv_at : int;
-  mutable adv_seq : int;
-  mutable adv_fn : unit -> unit;
 }
 
 (* The (at, seq) key space is split into two lanes.  Ordinary events
@@ -107,7 +75,6 @@ let create () =
     size = 0;
     s_fn = Array.make cap no_fn;
     s_gen = Array.make cap 0;
-    s_next = Array.make cap (-1);
     s_free;
     free_head = 0;
     clock = 0;
@@ -116,13 +83,6 @@ let create () =
     processed = 0;
     last_at = 0;
     cancelled_in_heap = 0;
-    cache_at = min_int;
-    cache_tail = -1;
-    s_staged = Array.make cap false;
-    staging = false;
-    adv_at = -1;
-    adv_seq = 0;
-    adv_fn = no_fn;
   }
 
 let now t : Units.Time.t = Units.Time.of_int_ns t.clock
@@ -181,10 +141,6 @@ let grow t =
   Array.blit t.s_fn 0 fns 0 old;
   t.s_fn <- fns;
   t.s_gen <- extend_int t.s_gen 0;
-  t.s_next <- extend_int t.s_next (-1);
-  let staged = Array.make cap false in
-  Array.blit t.s_staged 0 staged 0 old;
-  t.s_staged <- staged;
   t.s_free <- extend_int t.s_free 0;
   for i = old to cap - 1 do
     t.s_free.(i) <- (if i = cap - 1 then t.free_head else i + 1)
@@ -198,15 +154,10 @@ let alloc_slot t =
   slot
 
 (* Bump the generation (staling every outstanding handle) and release
-   the callback so the GC can collect it.  Freeing the batching cache's
-   tail slot is the only way the cache can go stale, so invalidate it
-   here and nowhere else. *)
+   the callback so the GC can collect it. *)
 let free_slot t slot =
-  if slot = t.cache_tail then t.cache_tail <- -1;
   t.s_gen.(slot) <- (t.s_gen.(slot) + 1) land gen_mask;
   t.s_fn.(slot) <- no_fn;
-  t.s_next.(slot) <- -1;
-  t.s_staged.(slot) <- false;
   t.s_free.(slot) <- t.free_head;
   t.free_head <- slot
 
@@ -230,52 +181,10 @@ let schedule t ~at fn =
   let at = Stdlib.max (Units.Time.to_ns at) t.clock in
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  if at = t.cache_at && t.cache_tail >= 0 then begin
-    (* Same instant as the last ordinary schedule and its slot is still
-       pending: append to the equal-time chain — no heap traffic. *)
-    let slot = alloc_slot t in
-    t.s_fn.(slot) <- fn;
-    t.s_next.(t.cache_tail) <- slot;
-    t.cache_tail <- slot;
-    t.live <- t.live + 1;
-    (slot lsl 31) lor t.s_gen.(slot)
-  end
-  else begin
-    let handle = schedule_keyed t ~at ~seq fn in
-    t.cache_at <- at;
-    t.cache_tail <- handle lsr 31;
-    handle
-  end
+  schedule_keyed t ~at ~seq fn
 
 let schedule_after t ~delay fn =
   schedule t ~at:(Units.Time.add (now t) delay) fn
-
-(* A staged entry must stay individually addressable by the heap -- its
-   re-key moves only itself -- so it neither joins an equal-time chain
-   nor registers as the chain cache's tail (chain members ride their
-   head's key, which advancing would drag along with it). *)
-let schedule_staged t ~at fn =
-  let at = Stdlib.max (Units.Time.to_ns at) t.clock in
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  let handle = schedule_keyed t ~at ~seq fn in
-  t.s_staged.(handle lsr 31) <- true;
-  handle
-
-(* The sequence number is drawn here, at call time, not when [step]
-   applies the re-key after the callback returns: the callback may go
-   on to schedule further events (the link's transmit chain does), and
-   those must draw later numbers -- exactly as if the advance had been
-   an ordinary [schedule] at this point in the callback. *)
-let advance_current t ~at fn =
-  if not t.staging then
-    invalid_arg "Engine.advance_current: no staged event is executing";
-  let at = Stdlib.max (Units.Time.to_ns at) t.clock in
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  t.adv_at <- at;
-  t.adv_seq <- seq;
-  t.adv_fn <- fn
 
 let schedule_boundary t ~at ~key fn =
   if key < 0 || key >= boundary_seq_limit then
@@ -295,54 +204,20 @@ let pop t =
   if last > 0 then sift_down t 0;
   slot
 
-(* Consume the root entry's current slot.  When the slot heads an
-   equal-time chain, promote its successor into the root in place —
-   same heap position, same (at, seq) key, zero sifts — so a chain of N
-   same-instant events pays for one real pop.  Keeping the head's key
-   is sound: every sequence number between the head's and a member's
-   belongs to the chain itself (same-instant schedules always chained
-   while the cache was valid), so no other entry sorts inside it. *)
-let take_root t =
-  let slot = t.h_slot.(0) in
-  let next = t.s_next.(slot) in
-  if next >= 0 then begin
-    t.h_slot.(0) <- next;
-    slot
-  end
-  else pop t
-
 (* Drop cancelled entries and restore the heap property bottom-up.
    The comparator is a total order, so pop order — and therefore the
-   simulation — is unchanged.  Equal-time chains are pruned in place:
-   cancelled members are unlinked and freed, and an entry whose chain
-   head died promotes the first live member under the original
-   (at, seq) key — the same key-preservation argument as {!take_root}. *)
+   simulation — is unchanged. *)
 let compact t =
   let n = t.size in
   let kept = ref 0 in
   for i = 0 to n - 1 do
-    let head = ref t.h_slot.(i) in
-    while !head >= 0 && t.s_fn.(!head) == cancelled_fn do
-      let next = t.s_next.(!head) in
-      free_slot t !head;
-      head := next
-    done;
-    if !head >= 0 then begin
-      let prev = ref !head in
-      let cur = ref t.s_next.(!head) in
-      while !cur >= 0 do
-        let next = t.s_next.(!cur) in
-        if t.s_fn.(!cur) == cancelled_fn then begin
-          t.s_next.(!prev) <- next;
-          free_slot t !cur
-        end
-        else prev := !cur;
-        cur := next
-      done;
+    let slot = t.h_slot.(i) in
+    if t.s_fn.(slot) == cancelled_fn then free_slot t slot
+    else begin
       let k = !kept in
       t.h_at.(k) <- t.h_at.(i);
       t.h_seq.(k) <- t.h_seq.(i);
-      t.h_slot.(k) <- !head;
+      t.h_slot.(k) <- slot;
       incr kept
     end
   done;
@@ -380,74 +255,34 @@ let next_event_ns t = if t.size = 0 then max_int else t.h_at.(0)
 let rec step t =
   if t.size = 0 then false
   else begin
-    let slot = t.h_slot.(0) in
-    if t.s_staged.(slot) && t.s_fn.(slot) != cancelled_fn then begin
-      (* Stage phase: run the callback with the entry still at the
-         root.  Nothing the callback is allowed to do can displace it:
-         ordinary schedules carry later sequence numbers at this or a
-         later instant, and staged callbacks must neither schedule
-         boundary events for the current instant nor cancel (a
-         compaction would rebuild the heap under us). *)
-      let at = t.h_at.(0) in
-      t.clock <- at;
-      t.last_at <- at;
-      t.processed <- t.processed + 1;
-      t.s_staged.(slot) <- false;
-      t.staging <- true;
-      t.adv_at <- -1;
-      (t.s_fn.(slot)) ();
-      t.staging <- false;
-      assert (t.h_slot.(0) = slot);
-      if t.adv_at >= 0 then begin
-        (* Re-arm in place.  The new key is a later (at, seq), so one
-           sift-down restores heap order; and the advanced entry holds
-           the newest sequence number at its instant, making it a
-           valid equal-time chain tail for subsequent schedules. *)
-        t.s_fn.(slot) <- t.adv_fn;
-        t.adv_fn <- no_fn;
-        t.h_at.(0) <- t.adv_at;
-        t.h_seq.(0) <- t.adv_seq;
-        sift_down t 0;
-        t.cache_at <- t.adv_at;
-        t.cache_tail <- slot
-      end
-      else begin
-        t.live <- t.live - 1;
-        ignore (pop t);
-        free_slot t slot
-      end;
-      true
+    let at = t.h_at.(0) in
+    let slot = pop t in
+    let fn = t.s_fn.(slot) in
+    if fn == cancelled_fn then begin
+      t.cancelled_in_heap <- t.cancelled_in_heap - 1;
+      free_slot t slot;
+      step t
     end
     else begin
-      let at = t.h_at.(0) in
-      let slot = take_root t in
-      let fn = t.s_fn.(slot) in
-      if fn == cancelled_fn then begin
-        t.cancelled_in_heap <- t.cancelled_in_heap - 1;
-        free_slot t slot;
-        step t
-      end
-      else begin
-        t.clock <- at;
-        t.last_at <- at;
-        t.live <- t.live - 1;
-        t.processed <- t.processed + 1;
-        free_slot t slot;
-        fn ();
-        true
-      end
+      t.clock <- at;
+      t.last_at <- at;
+      t.live <- t.live - 1;
+      t.processed <- t.processed + 1;
+      free_slot t slot;
+      fn ();
+      true
     end
   end
 
-(* The run loop inlines [step]'s dispatch rather than calling it: the
-   root peek, the cancelled check and the staged check would otherwise
-   each be done twice per event.  Behaviour is identical. *)
+(* The run loop inlines [step]'s dispatch rather than calling it, so
+   the root peek and the cancelled check are done once per event.
+   Behaviour is identical. *)
 let rec run_loop t limit =
   if t.size > 0 then begin
     let slot = t.h_slot.(0) in
     let fn = t.s_fn.(slot) in
     if fn == cancelled_fn then begin
-      ignore (take_root t);
+      ignore (pop t);
       t.cancelled_in_heap <- t.cancelled_in_heap - 1;
       free_slot t slot;
       run_loop t limit
@@ -455,39 +290,13 @@ let rec run_loop t limit =
     else begin
       let at = t.h_at.(0) in
       if at <= limit then begin
-        if t.s_staged.(slot) then begin
-          t.clock <- at;
-          t.last_at <- at;
-          t.processed <- t.processed + 1;
-          t.s_staged.(slot) <- false;
-          t.staging <- true;
-          t.adv_at <- -1;
-          fn ();
-          t.staging <- false;
-          if t.adv_at >= 0 then begin
-            t.s_fn.(slot) <- t.adv_fn;
-            t.adv_fn <- no_fn;
-            t.h_at.(0) <- t.adv_at;
-            t.h_seq.(0) <- t.adv_seq;
-            sift_down t 0;
-            t.cache_at <- t.adv_at;
-            t.cache_tail <- slot
-          end
-          else begin
-            t.live <- t.live - 1;
-            ignore (pop t);
-            free_slot t slot
-          end
-        end
-        else begin
-          ignore (take_root t);
-          t.clock <- at;
-          t.last_at <- at;
-          t.live <- t.live - 1;
-          t.processed <- t.processed + 1;
-          free_slot t slot;
-          fn ()
-        end;
+        ignore (pop t);
+        t.clock <- at;
+        t.last_at <- at;
+        t.live <- t.live - 1;
+        t.processed <- t.processed + 1;
+        free_slot t slot;
+        fn ();
         run_loop t limit
       end
     end
@@ -510,7 +319,7 @@ let rec run_bounded_loop t limit stop =
   if t.size > 0 then begin
     let slot = t.h_slot.(0) in
     if t.s_fn.(slot) == cancelled_fn then begin
-      ignore (take_root t);
+      ignore (pop t);
       t.cancelled_in_heap <- t.cancelled_in_heap - 1;
       free_slot t slot;
       run_bounded_loop t limit stop

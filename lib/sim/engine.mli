@@ -23,21 +23,7 @@
     sequence numbers live in parallel [int] arrays, callbacks in one
     closure array, and handles are packed slot+generation ints — so
     {!schedule} performs no heap allocation beyond the caller's
-    callback closure.
-
-    Same-instant ordinary events are batched through an intrusive
-    equal-time chain: consecutive {!schedule} calls for the same
-    timestamp append to the previous event's chain instead of pushing
-    fresh heap entries, and execution promotes chain successors into
-    the root in place — N simultaneous deliveries (a facility incast)
-    cost one sift-up plus one sift-down instead of N of each.  The
-    chain drains in exactly the (time, sequence) order the unbatched
-    heap would have produced: sequence numbers are assigned in
-    scheduling order and every same-instant ordinary schedule joins
-    the chain while it is open, so the chain is precisely the
-    ascending-sequence suffix of that instant.  Boundary events never
-    chain — their caller-chosen keys sort below the ordinary lane and
-    must remain individually addressable by the heap. *)
+    callback closure. *)
 
 open Mmt_util
 
@@ -65,32 +51,6 @@ val schedule : t -> at:Units.Time.t -> (unit -> unit) -> handle
     event finishes". *)
 
 val schedule_after : t -> delay:Units.Time.t -> (unit -> unit) -> handle
-
-val schedule_staged : t -> at:Units.Time.t -> (unit -> unit) -> handle
-(** A {e staged} (two-phase) event: one heap entry that can fire twice.
-    At [at] the callback runs with the entry still at the heap root —
-    it may call {!advance_current} to re-arm the very same entry at a
-    later instant with a new callback; if it does not, the entry dies
-    as a normal one-shot event.  The fused link hop ({!Link}) is the
-    client: serialize + propagate become one scheduled entry, saving a
-    push, a pop and a slot recycle per hop, while the (time, sequence)
-    keys the heap orders on are exactly those the two-event schedule
-    would have produced — so fused execution order is byte-identical.
-
-    Constraints on the staged callback (it runs in place, with the
-    entry still occupying the root): it must not cancel events (a
-    compaction would rebuild the heap around the in-flight root) and
-    must not schedule boundary events for the current instant (their
-    low-lane keys would displace the root).  Ordinary {!schedule} /
-    {!schedule_after} calls are fine. *)
-
-val advance_current : t -> at:Units.Time.t -> (unit -> unit) -> unit
-(** Re-arm the staged event whose callback is currently executing: the
-    same heap entry becomes a pending event at [at] (clamped to now)
-    running the new callback, under a sequence number drawn at this
-    call — the exact number an ordinary [schedule] here would have
-    drawn, which is what keeps fused and unfused runs identical.
-    @raise Invalid_argument outside a staged callback. *)
 
 val boundary_seq_limit : int
 (** Exclusive upper bound of the boundary lane: every

@@ -58,8 +58,6 @@ type t = {
   mutable serializing : Packet.t; (* the packet on the transmitter *)
   mutable on_serialized : unit -> unit; (* preallocated; set in create *)
   mutable on_propagated : unit -> unit; (* preallocated; set in create *)
-  mutable on_staged : unit -> unit; (* preallocated; set in create *)
-  fusable : bool; (* hops may fuse: fusing enabled and ordinary lane *)
   (* In-flight circular FIFO.  Propagation is constant per link and
      engine time is monotonic, so deliveries complete in the order
      serializations complete: the delivery closures can be one shared
@@ -173,18 +171,7 @@ let start_serializing t packet =
   t.serializing <- packet;
   let serialization = serialization_time t packet in
   t.busy <- Units.Time.add t.busy serialization;
-  if t.fusable then
-    (* Fused hop: one staged engine event covers serialization and
-       propagation.  Its stage phase runs [staged_serialized] — the
-       serialize-time semantics, verbatim — and re-arms the same
-       heap entry as the propagate event instead of scheduling a
-       second one. *)
-    ignore
-      (Engine.schedule_staged t.engine
-         ~at:(Units.Time.add (Engine.now t.engine) serialization)
-         t.on_staged)
-  else
-    ignore (Engine.schedule_after t.engine ~delay:serialization t.on_serialized)
+  ignore (Engine.schedule_after t.engine ~delay:serialization t.on_serialized)
 
 let transmit_next t =
   let packet = Queue_model.poll t.queue ~now:(Engine.now t.engine) in
@@ -228,57 +215,9 @@ let serialized t =
 
 let propagated t = deliver_now t (flight_pop t)
 
-(* Stage phase of a fused hop: [serialized] verbatim, except that a
-   surviving packet re-arms the staged event as the propagate event
-   ([Engine.advance_current]) instead of scheduling a fresh one.  The
-   advance draws its sequence number at this instant — exactly where
-   [deliver_after_propagation] would have drawn it — and every other
-   decision (up check, loss draw, tamper, observer, stats, the tail
-   call into [transmit_next]) runs here at serialize-completion time
-   with current link state, so a fused run is byte-identical to an
-   unfused one under faults, impairment, and tracing alike.  Only
-   ordinary-lane links fuse, so the boundary branch of
-   [deliver_after_propagation] is never bypassed. *)
-let advance_propagation t packet =
-  flight_push t packet;
-  Engine.advance_current t.engine
-    ~at:(Units.Time.add (Engine.now t.engine) t.propagation)
-    t.on_propagated
-
-let staged_serialized t =
-  let packet = t.serializing in
-  t.serializing <- dummy_packet;
-  t.transmitted <- t.transmitted + 1;
-  observe t Transmitted packet;
-  (if not t.up then begin
-     t.fault_drops <- t.fault_drops + 1;
-     observe t Fault_dropped packet;
-     retire t packet
-   end
-   else
-     match Loss.decide t.loss with
-     | Loss.Drop ->
-         t.loss_drops <- t.loss_drops + 1;
-         observe t Loss_dropped packet;
-         retire t packet
-     | Loss.Corrupt ->
-         packet.Packet.corrupted <- true;
-         t.corrupted <- t.corrupted + 1;
-         observe t Corrupted packet;
-         advance_propagation t packet
-     | Loss.Deliver -> (
-         match t.tamper with
-         | Some tamper when tamper packet ->
-             t.tampered <- t.tampered + 1;
-             observe t Corrupted packet;
-             advance_propagation t packet
-         | Some _ | None -> advance_propagation t packet));
-  transmit_next t
-
 let create ~engine ~name ~rate ~propagation ?(loss = Loss.perfect)
     ?(queue = Queue_model.droptail ~capacity:(Units.Size.mib 4) ())
-    ?pool ?ring ?(observer = no_observer) ?(boundary = -1) ?(fusing = true)
-    ~deliver () =
+    ?pool ?ring ?(observer = no_observer) ?(boundary = -1) ~deliver () =
   let t =
     {
       engine;
@@ -298,11 +237,6 @@ let create ~engine ~name ~rate ~propagation ?(loss = Loss.perfect)
       serializing = dummy_packet;
       on_serialized = ignore;
       on_propagated = ignore;
-      on_staged = ignore;
-      (* Fusion never touches the boundary key lane: a cut edge's
-         deliveries must carry the (edge id, FIFO seq) key in every
-         mode. *)
-      fusable = fusing && boundary < 0;
       flight = Array.make 16 dummy_packet;
       flight_head = 0;
       flight_len = 0;
@@ -324,7 +258,6 @@ let create ~engine ~name ~rate ~propagation ?(loss = Loss.perfect)
   in
   t.on_serialized <- (fun () -> serialized t);
   t.on_propagated <- (fun () -> propagated t);
-  t.on_staged <- (fun () -> staged_serialized t);
   t
 
 let send t packet =

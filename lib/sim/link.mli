@@ -58,7 +58,6 @@ val create :
   ?ring:Ring.t ->
   ?observer:(event -> Packet.t -> unit) ->
   ?boundary:int ->
-  ?fusing:bool ->
   deliver:(Packet.t -> unit) ->
   unit ->
   t
@@ -71,23 +70,7 @@ val create :
     belong to the receiver.  [boundary] is the link's cut-edge id
     ([-1], the default, marks an ordinary link); {!Topology.connect}
     assigns ids in creation order to every link at or above
-    {!cut_threshold}.
-
-    [fusing] (default [true]) enables the fused hop: each packet's
-    serialize and propagate events collapse into a single {e staged}
-    engine event ({!Engine.schedule_staged}).  Its stage phase fires
-    at serialize-completion time and runs the serialize-time semantics
-    verbatim — up check, loss draw, tamper, observer callbacks, stats,
-    and the tail poll for the next packet — then re-arms the same heap
-    entry as the propagate event instead of scheduling a second one,
-    saving a heap push, a pop and a slot recycle per hop.  Every
-    decision still executes at the same instant with the same link
-    state and the same sequence-number draws as the two-event path, so
-    fused and unfused runs are byte-identical under congestion,
-    faults, impairment, and tracing alike.  Boundary cut edges never
-    fuse: their deliveries must carry the boundary-lane key in every
-    mode.  [fusing:false] opts out entirely (the [--no-fuse]
-    differential switch). *)
+    {!cut_threshold}. *)
 
 val send : t -> Packet.t -> unit
 (** Enqueue for transmission; drops (with accounting) if the queue is
@@ -102,12 +85,7 @@ val queue : t -> Queue_model.t
 
     The fault-injection layer ({!Mmt_fault}) drives links through
     these; all default to the healthy state, in which the link
-    behaves exactly as it always did.  The hooks need no special
-    handling for fused hops: a fused hop's serialize-time decisions
-    run inside the staged event at serialize-completion time, reading
-    link state {e then} — so a hook firing mid-hop is observed by
-    in-flight packets exactly as the two-event path would observe it,
-    and a brown-out produces the identical ledger either way. *)
+    behaves exactly as it always did. *)
 
 val is_up : t -> bool
 

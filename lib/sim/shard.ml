@@ -190,7 +190,7 @@ let wire topo engines =
     failed = None;
   }
 
-let build ~shards ?pool ?(pooling = true) ?(fusing = true) build_fn =
+let build ~shards ?pool ?(pooling = true) ?fusing:_ build_fn =
   (* Two-pass construction: build once on a throwaway engine to learn
      the graph, partition it, then rebuild for real on per-shard
      engines.  Sharing [build_fn] between the passes (and between the
@@ -202,7 +202,7 @@ let build ~shards ?pool ?(pooling = true) ?(fusing = true) build_fn =
     let topo =
       Topology.create ~engine
         ?pool:(Option.map (fun f -> f ()) pool)
-        ~pooling ~fusing ()
+        ~pooling ()
     in
     let result = build_fn topo in
     (topo, result, None)
@@ -222,7 +222,7 @@ let build ~shards ?pool ?(pooling = true) ?(fusing = true) build_fn =
         Option.map (fun f -> Array.init nshards (fun _ -> f ())) pool
       in
       let topo =
-        Topology.create_sharded ~engines ~assign ?pools ~pooling ~fusing ()
+        Topology.create_sharded ~engines ~assign ?pools ~pooling ()
       in
       let result = build_fn topo in
       (topo, result, Some (wire topo engines))

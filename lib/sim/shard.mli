@@ -43,12 +43,9 @@ val build :
     [pool], when given, is a factory invoked once per shard so every
     domain recycles frames through its own pool — frames that cross a
     shard mailbox are detached from the source ring and later retired
-    into the {e receiving} shard's pool, never the sender's.  Fusing
-    (collapsing uncongested hops into single engine events, see
-    {!Link.create}) is likewise on by default and applies only to
-    intra-shard links — cut edges always use the boundary key lane —
-    so a fused sharded run remains byte-identical to a fused
-    sequential one; [fusing:false] opts out.
+    into the {e receiving} shard's pool, never the sender's.
+    [fusing] is accepted and ignored, for callers written against the
+    removed fused-hop option.
 
     Returns [(topo, result, runner)]; [runner] is [None] when the run
     fell back to sequential (fewer than two cut components, or

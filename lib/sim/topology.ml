@@ -4,7 +4,6 @@ type t = {
   engines : Engine.t array;
   assign : (string -> int) option; (* node name -> shard; None = all on 0 *)
   trace : Trace.t option;
-  fusing : bool; (* links created through this topology may fuse hops *)
   pools : Pool.t option array; (* per shard, same length as [engines] *)
   rings : Ring.t option array; (* per shard, same length as [engines] *)
   next_ids : int array; (* per-shard packet-id counters *)
@@ -16,12 +15,11 @@ type t = {
   mutable next_boundary : int;
 }
 
-let make ~engines ~assign ~trace ~fusing ~pools ~rings =
+let make ~engines ~assign ~trace ~pools ~rings =
   {
     engines;
     assign;
     trace;
-    fusing;
     pools;
     rings;
     next_ids = Array.make (Array.length engines) 0;
@@ -44,14 +42,13 @@ let ring_for ~pooling ~ring ~pool =
 let pool_behind ~ring ~pool =
   match ring with Some r -> Some (Ring.pool r) | None -> pool
 
-let create ~engine ?trace ?pool ?ring ?(pooling = true) ?(fusing = true) () =
+let create ~engine ?trace ?pool ?ring ?(pooling = true) () =
   let ring = ring_for ~pooling ~ring ~pool in
   let pool = pool_behind ~ring ~pool in
-  make ~engines:[| engine |] ~assign:None ~trace ~fusing ~pools:[| pool |]
+  make ~engines:[| engine |] ~assign:None ~trace ~pools:[| pool |]
     ~rings:[| ring |]
 
-let create_sharded ~engines ~assign ?pools ?rings ?(pooling = true)
-    ?(fusing = true) () =
+let create_sharded ~engines ~assign ?pools ?rings ?(pooling = true) () =
   if Array.length engines = 0 then
     invalid_arg "Topology.create_sharded: no engines";
   let n = Array.length engines in
@@ -75,7 +72,7 @@ let create_sharded ~engines ~assign ?pools ?rings ?(pooling = true)
   let pools =
     Array.init n (fun i -> pool_behind ~ring:rings.(i) ~pool:pools.(i))
   in
-  make ~engines ~assign:(Some assign) ~trace:None ~fusing ~pools ~rings
+  make ~engines ~assign:(Some assign) ~trace:None ~pools ~rings
 
 let engine t = t.engines.(0)
 let nshards t = Array.length t.engines
@@ -156,7 +153,7 @@ let connect t ~src ~dst ~rate ~propagation ?loss ?queue () =
   let link =
     Link.create ~engine ~name ~rate ~propagation ?loss ?queue
       ?pool:t.pools.(shard) ?ring:t.rings.(shard) ?observer ~boundary
-      ~fusing:t.fusing ~deliver:(Node.handle dst) ()
+      ~deliver:(Node.handle dst) ()
   in
   t.link_order <- link :: t.link_order;
   t.edge_order <- (src, dst, link) :: t.edge_order;

@@ -25,7 +25,6 @@ val create :
   ?pool:Pool.t ->
   ?ring:Ring.t ->
   ?pooling:bool ->
-  ?fusing:bool ->
   unit ->
   t
 (** When [trace] is given, every link created through this topology
@@ -35,10 +34,7 @@ val create :
     retires the packets it drops into it; {!pool} then exposes the
     ring's embedded frame pool for copy paths.  [pooling:false]
     restores the legacy behaviour: no ring, and frames recycle only
-    when an explicit [pool] was given.  Fusing is likewise on by
-    default: links collapse uncongested hops into single engine events
-    (see {!Link.create}); [fusing:false] opts every link out — the
-    [--no-fuse] differential switch. *)
+    when an explicit [pool] was given. *)
 
 val create_sharded :
   engines:Engine.t array ->
@@ -46,7 +42,6 @@ val create_sharded :
   ?pools:Pool.t array ->
   ?rings:Ring.t array ->
   ?pooling:bool ->
-  ?fusing:bool ->
   unit ->
   t
 (** A topology spread over one engine per shard.  [assign] maps a node

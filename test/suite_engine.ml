@@ -168,115 +168,185 @@ let test_compaction_preserves_order () =
   Alcotest.(check int) "survivors all ran" expected_live (Engine.processed engine);
   Alcotest.(check int) "survivor set fired" expected_live !fired
 
-(* Differential fuzz: drive the SoA heap and a naive reference model
-   (linear scan for the minimum (at, seq) live event) through the same
-   random schedule/cancel/step stream and demand identical pop order,
-   clocks and pending counts — across array growth and the compactions
-   the cancel bursts trigger. *)
-type model_event = {
-  m_at : int; (* effective fire time, clamped at schedule *)
-  m_seq : int;
-  m_id : int;
-  mutable m_cancelled : bool;
-  mutable m_popped : bool;
-}
+(* Differential fuzz of the ordering contract: events run in total
+   (at, seq) order.  The SoA heap and a reference model — the live
+   events as a list kept sorted by (at, seq) — are driven through the
+   same random stream of ordinary and boundary-lane schedules, cancels
+   and drains ([step], [run], [run ~until], [run_until],
+   [run_bounded]).  Requested times fall a few nanoseconds around the
+   clock, so same-instant ties and clamped past schedules are the
+   common case, and callbacks themselves schedule and cancel, as link
+   and transport code does.  Every event the engine fires must be the
+   model's head at that moment, at the model's clock; pending counts,
+   clocks and drain verdicts must agree after every action. *)
+type model_event = { m_at : int; m_seq : int; m_id : int }
 
-let model_pop events clock =
-  let best =
-    List.fold_left
-      (fun acc e ->
-        if e.m_cancelled || e.m_popped then acc
-        else
-          match acc with
-          | None -> Some e
-          | Some b ->
-              if e.m_at < b.m_at || (e.m_at = b.m_at && e.m_seq < b.m_seq)
-              then Some e
-              else acc)
-      None events
+let model_insert e events =
+  let before x = x.m_at < e.m_at || (x.m_at = e.m_at && x.m_seq < e.m_seq) in
+  let rec go = function
+    | x :: rest when before x -> x :: go rest
+    | rest -> e :: rest
   in
-  match best with
-  | None -> None
-  | Some e ->
-      e.m_popped <- true;
-      clock := e.m_at;
-      Some e.m_id
+  go events
 
 let test_fuzz_matches_reference_model () =
   List.iter
     (fun seed ->
       let rng = Rng.create ~seed in
       let engine = Engine.create () in
-      let by_id : (int, Engine.handle * model_event) Hashtbl.t =
-        Hashtbl.create 256
-      in
-      let events = ref [] in
-      let model_clock = ref 0 in
-      let next_id = ref 0 in
-      let next_seq = ref 0 in
-      let engine_pops = ref [] in
-      let model_pops = ref [] in
-      let schedule () =
-        let at_req = Rng.int rng ~bound:50_000 in
+      let ns = Units.Time.of_int_ns in
+      let live = ref [] (* the reference: sorted by (at, seq) *) in
+      let live_ids = Hashtbl.create 256 in
+      let handles = Hashtbl.create 1024 in
+      let clock = ref 0 in
+      let next_id = ref 0 and next_seq = ref 0 and next_key = ref 0 in
+      let fired = ref 0 and ties = ref 0 and nested = ref 0 in
+      let boundary_fired = ref 0 and last_fired_at = ref (-1) in
+      let fail fmt = Alcotest.failf ("seed %Ld: " ^^ fmt) seed in
+      let add ~at_req ~seq ~boundary push =
         let id = !next_id in
         incr next_id;
-        let handle =
-          Engine.schedule engine
-            ~at:(Units.Time.of_int_ns at_req)
-            (fun () -> engine_pops := id :: !engine_pops)
-        in
-        let event =
-          {
-            m_at = max at_req !model_clock;
-            m_seq = !next_seq;
-            m_id = id;
-            m_cancelled = false;
-            m_popped = false;
-          }
-        in
+        let at = max at_req !clock in
+        Hashtbl.replace handles id (push id);
+        Hashtbl.replace live_ids id boundary;
+        live := model_insert { m_at = at; m_seq = seq; m_id = id } !live
+      in
+      (* Mostly a few nanoseconds around the clock (ties, and past
+         times that clamp to now); sometimes further out, so the heap
+         holds enough entries for cancel bursts to force compactions. *)
+      let at_req () =
+        if Rng.int rng ~bound:5 = 0 then !clock + Rng.int rng ~bound:64
+        else max 0 (!clock + Rng.int rng ~bound:8 - 2)
+      in
+      let rec schedule () =
+        let seq = Engine.boundary_seq_limit + !next_seq in
         incr next_seq;
-        events := event :: !events;
-        Hashtbl.replace by_id id (handle, event)
-      in
-      let cancel () =
+        let at_req = at_req () in
+        add ~at_req ~seq ~boundary:false (fun id ->
+            Engine.schedule engine ~at:(ns at_req) (fire id))
+      and schedule_boundary () =
+        (* Unique keys whose order is unrelated to insertion order. *)
+        let key = (Rng.int rng ~bound:1024 lsl 20) lor !next_key in
+        incr next_key;
+        let at_req = at_req () in
+        add ~at_req ~seq:key ~boundary:true (fun id ->
+            Engine.schedule_boundary engine ~at:(ns at_req) ~key (fire id))
+      and cancel () =
         if !next_id > 0 then begin
-          (* Any id ever issued: live, already-run and already-cancelled
-             handles all get exercised. *)
-          let victim = Rng.int rng ~bound:!next_id in
-          let handle, event = Hashtbl.find by_id victim in
-          Engine.cancel engine handle;
-          if not (event.m_popped || event.m_cancelled) then
-            event.m_cancelled <- true
+          (* Half the time a live event; otherwise any id ever issued,
+             so already-run and already-cancelled handles (the running
+             event's own included) are exercised too. *)
+          let victim =
+            match !live with
+            | _ :: _ when Rng.bool rng ->
+                (List.nth !live (Rng.int rng ~bound:(List.length !live))).m_id
+            | _ -> Rng.int rng ~bound:!next_id
+          in
+          Engine.cancel engine (Hashtbl.find handles victim);
+          if Hashtbl.mem live_ids victim then begin
+            Hashtbl.remove live_ids victim;
+            live := List.filter (fun e -> e.m_id <> victim) !live
+          end
         end
+      and fire id () =
+        match !live with
+        | [] -> fail "event %d fired but the model holds none" id
+        | head :: rest ->
+            if head.m_id <> id then
+              fail "event %d fired where the model expects %d" id head.m_id;
+            let now = Units.Time.to_ns (Engine.now engine) in
+            if now <> head.m_at then
+              fail "event %d fired at %d ns, model says %d" id now head.m_at;
+            if head.m_at = !last_fired_at then incr ties;
+            last_fired_at := head.m_at;
+            if Hashtbl.find live_ids id then incr boundary_fired;
+            Hashtbl.remove live_ids id;
+            live := rest;
+            clock := head.m_at;
+            incr fired;
+            (* Subcritical branching (0.6 new events per firing), capped
+               so a run can never grow without bound. *)
+            if !next_id < 20_000 then begin
+              let r = Rng.int rng ~bound:100 in
+              if r < 50 then incr nested;
+              if r < 30 then schedule ()
+              else if r < 40 then (schedule (); schedule ())
+              else if r < 50 then schedule_boundary ()
+              else if r < 70 then cancel ()
+            end
       in
-      let pop () =
-        let stepped = Engine.step engine in
-        let model = model_pop !events model_clock in
-        Alcotest.(check bool)
-          "step mirrors model emptiness" (model <> None) stepped;
-        Option.iter (fun id -> model_pops := id :: !model_pops) model
+      let check_state what =
+        if Engine.pending engine <> Hashtbl.length live_ids then
+          fail "%s: pending %d, model %d" what (Engine.pending engine)
+            (Hashtbl.length live_ids);
+        if Units.Time.to_ns (Engine.now engine) <> !clock then
+          fail "%s: clock %d ns, model %d" what
+            (Units.Time.to_ns (Engine.now engine)) !clock
+      in
+      let due_by limit =
+        match !live with [] -> false | head :: _ -> head.m_at <= limit
+      in
+      let step () =
+        let expected = !live <> [] in
+        if Engine.step engine <> expected then
+          fail "step returned %b" (not expected)
+      in
+      let run_window ~windowed =
+        let limit = !clock + Rng.int rng ~bound:12 in
+        if windowed then Engine.run ~until:(ns limit) engine
+        else Engine.run_until engine ~until:(ns limit);
+        if due_by limit then fail "run ~until %d left due work" limit;
+        clock := max !clock limit
+      in
+      let run_bounded () =
+        let limit = !clock + Rng.int rng ~bound:12 in
+        let budget = Rng.int rng ~bound:6 in
+        let before = Engine.processed engine in
+        let terminated = Engine.run_bounded engine ~until:(ns limit) ~budget in
+        let ran = Engine.processed engine - before in
+        if terminated = due_by limit then
+          fail "run_bounded said terminated=%b" terminated;
+        if ran > budget || ((not terminated) && ran <> budget) then
+          fail "run_bounded ran %d events on budget %d" ran budget;
+        if terminated then clock := max !clock limit
+      in
+      let run_all () =
+        Engine.run engine;
+        if !live <> [] then fail "run left %d events" (List.length !live)
+      in
+      let drains = Array.make 5 0 in
+      let drain k f =
+        drains.(k) <- drains.(k) + 1;
+        f ()
       in
       for _ = 1 to 3_000 do
         let r = Rng.int rng ~bound:100 in
-        if r < 55 then schedule () else if r < 85 then cancel () else pop ()
+        if r < 35 then schedule ()
+        else if r < 47 then schedule_boundary ()
+        else if r < 65 then cancel ()
+        else if r < 78 then drain 0 step
+        else if r < 86 then drain 1 (fun () -> run_window ~windowed:true)
+        else if r < 92 then drain 2 (fun () -> run_window ~windowed:false)
+        else if r < 99 then drain 3 run_bounded
+        else drain 4 run_all;
+        check_state "after action"
       done;
-      (* Drain both completely. *)
-      let continue = ref true in
-      while !continue do
-        let stepped = Engine.step engine in
-        let model = model_pop !events model_clock in
-        Alcotest.(check bool)
-          "drain mirrors model emptiness" (model <> None) stepped;
-        Option.iter (fun id -> model_pops := id :: !model_pops) model;
-        continue := stepped
-      done;
-      Alcotest.(check (list int))
-        (Printf.sprintf "pop order (seed %Ld)" seed)
-        (List.rev !model_pops) (List.rev !engine_pops);
-      Alcotest.(check int)
-        "final clock" !model_clock
-        (Units.Time.to_ns (Engine.now engine));
-      Alcotest.(check int) "drained" 0 (Engine.pending engine))
+      run_all ();
+      check_state "final drain";
+      Alcotest.(check int) "drained" 0 (Engine.pending engine);
+      Alcotest.(check int) "every fired event was checked" !fired
+        (Engine.processed engine);
+      (* The stream must actually have exercised what it claims to. *)
+      Alcotest.(check bool) "same-instant ties exercised" true (!ties > 500);
+      Alcotest.(check bool) "boundary lane exercised" true
+        (!boundary_fired > 100);
+      Alcotest.(check bool) "nested scheduling exercised" true (!nested > 500);
+      Array.iteri
+        (fun k n ->
+          Alcotest.(check bool)
+            (Printf.sprintf "drain mode %d exercised" k)
+            true (n > 10))
+        drains)
     [ 3L; 17L; 99L; 4242L ]
 
 let qcheck_event_order =

@@ -151,13 +151,12 @@ let test_run_pooling_identical () =
     && pooled.Scenario.samples = sharded_plain.Scenario.samples
     && pooled.Scenario.events = sharded_plain.Scenario.events)
 
-let test_run_fusing_identical () =
-  (* Fused link hops change event mechanics, never results — and the
-     interesting failure mode is congestion, where same-instant
+let test_run_sharded_identical_at_scale () =
+  (* The interesting failure mode is congestion, where same-instant
      deliveries into shared downstream queues make ordering mistakes
      cascade.  So this runs the E-F5 fan-in at full scale (1000 flows
      into one shared WAN bottleneck) and demands field-for-field
-     identity with fusing off, sequentially and sharded. *)
+     identity between the sequential and the sharded run. *)
   let config =
     {
       Scenario.default with
@@ -165,19 +164,14 @@ let test_run_fusing_identical () =
       duration = Units.Time.ms 1.;
     }
   in
-  let fused = Scenario.run config in
-  let unfused = Scenario.run ~fusing:false config in
+  let seq = Scenario.run config in
+  let sharded = Scenario.run ~shards:3 config in
   Alcotest.(check bool) "summaries equal" true
-    (fused.Scenario.summary = unfused.Scenario.summary);
+    (seq.Scenario.summary = sharded.Scenario.summary);
   Alcotest.(check bool) "per-flow samples equal" true
-    (fused.Scenario.samples = unfused.Scenario.samples);
-  Alcotest.(check int) "event counts equal" fused.Scenario.events
-    unfused.Scenario.events;
-  let sharded_unfused = Scenario.run ~shards:3 ~fusing:false config in
-  Alcotest.(check bool) "sharded fuse-off matches too" true
-    (fused.Scenario.summary = sharded_unfused.Scenario.summary
-    && fused.Scenario.samples = sharded_unfused.Scenario.samples
-    && fused.Scenario.events = sharded_unfused.Scenario.events)
+    (seq.Scenario.samples = sharded.Scenario.samples);
+  Alcotest.(check int) "event counts equal" seq.Scenario.events
+    sharded.Scenario.events
 
 let test_run_gc_tuning_identical () =
   (* Per-domain GC tuning shifts collection points, never results. *)
@@ -232,8 +226,8 @@ let suite =
       test_sweep_sharded_identical;
     Alcotest.test_case "run: pool-on/off byte-identical" `Quick
       test_run_pooling_identical;
-    Alcotest.test_case "run: fuse-on/off byte-identical at E-F5 scale" `Slow
-      test_run_fusing_identical;
+    Alcotest.test_case "run: sequential = sharded at E-F5 scale" `Slow
+      test_run_sharded_identical_at_scale;
     Alcotest.test_case "run: gc tuning changes nothing" `Quick
       test_run_gc_tuning_identical;
   ]

@@ -114,10 +114,9 @@ let transcript topo logs =
    comparable.  Without a horizon, handlers must not read [now] (the
    sharded engines' clocks advance in window caps) — [run_to_quiescence]
    below exercises that path with time-free logs. *)
-let run_star ?until ?impair ?faults ?fusing ~islands ~packets ~lognow shards =
+let run_star ?until ?impair ?faults ~islands ~packets ~lognow shards =
   let topo, logs, runner =
-    Shard.build ~shards ?fusing
-      (build_star ?impair ?faults ~islands ~packets ~lognow)
+    Shard.build ~shards (build_star ?impair ?faults ~islands ~packets ~lognow)
   in
   (match runner with
   | None -> Engine.run ?until (Topology.engine topo)
@@ -162,34 +161,31 @@ let test_star_differential () =
             (Stdlib.min shards 4) (Shard.nshards r))
     [ 2; 3; 4 ]
 
-let test_star_fusing_differential () =
-  (* Fused hops must never apply on a cut edge, and must not change a
-     single transcript byte in any mode.  Fused runs at 1..4 shards —
-     with impairment on and the fault plan flapping the cut links
-     mid-window — must match the unfused sequential run exactly,
-     link stat for link stat (the transcript includes per-link loss,
-     fault and queue accounting). *)
+let test_star_faults_differential () =
+  (* Impairment on and the fault plan flapping the cut links
+     mid-window: runs at 1..4 shards must match the sequential run
+     exactly, link stat for link stat (the transcript includes per-link
+     loss, fault and queue accounting). *)
   let until = Units.Time.seconds 1. in
   let lognow = Engine.now in
-  let unfused, ev_u, fin_u, _ =
-    run_star ~until ~impair:true ~faults:true ~fusing:false ~islands:3
-      ~packets:40 ~lognow 1
+  let seq, ev_seq, fin_seq, _ =
+    run_star ~until ~impair:true ~faults:true ~islands:3 ~packets:40 ~lognow 1
   in
   List.iter
     (fun shards ->
-      let fused, ev_f, fin_f, _ =
+      let par, ev_par, fin_par, _ =
         run_star ~until ~impair:true ~faults:true ~islands:3 ~packets:40
           ~lognow shards
       in
-      let label = Printf.sprintf "fused shards=%d" shards in
+      let label = Printf.sprintf "shards=%d" shards in
       Alcotest.(check string)
-        (label ^ " transcript identical to unfused sequential")
-        unfused fused;
-      Alcotest.(check int) (label ^ " event count identical") ev_u ev_f;
+        (label ^ " transcript identical to sequential")
+        seq par;
+      Alcotest.(check int) (label ^ " event count identical") ev_seq ev_par;
       Alcotest.(check bool)
         (label ^ " last event time identical")
         true
-        (Units.Time.equal fin_u fin_f))
+        (Units.Time.equal fin_seq fin_par))
     [ 1; 2; 3; 4 ]
 
 let test_star_quiescence () =
@@ -263,22 +259,17 @@ let test_pool_boundary_crossing () =
 (* Random island topologies with random fault toggles: the strongest
    form of the determinism contract.  Fault plans flip link state at
    scheduled times on the owning shard's engine — the same mechanism
-   the chaos experiments use — so loss accounting must also match.
-   The baseline runs with fusing *off* while the sharded run keeps the
-   default fused hops: one property covers both the shard cut and the
-   fused/unfused differential, and in particular that fusion never
-   applies on a cut edge (whose flapping is part of the fault plan). *)
+   the chaos experiments use — so loss accounting must also match. *)
 let test_fuzz_differential =
   QCheck.Test.make ~count:20
-    ~name:"random star: unfused sequential = fused sharded"
+    ~name:"random star: sequential = sharded"
     QCheck.(
       quad (int_range 2 4) (int_range 1 30) (int_range 2 4) (pair bool bool))
     (fun (islands, packets, shards, (impair, faults)) ->
       let until = Units.Time.ms 500. in
       let lognow = Engine.now in
       let seq, ev_seq, _, _ =
-        run_star ~until ~impair ~faults ~fusing:false ~islands ~packets ~lognow
-          1
+        run_star ~until ~impair ~faults ~islands ~packets ~lognow 1
       in
       let par, ev_par, _, _ =
         run_star ~until ~impair ~faults ~islands ~packets ~lognow shards
@@ -289,8 +280,8 @@ let suite =
   [
     Alcotest.test_case "star: sequential vs shards 2..4" `Quick
       test_star_differential;
-    Alcotest.test_case "star: fused = unfused under cut-link faults" `Quick
-      test_star_fusing_differential;
+    Alcotest.test_case "star: shards 1..4 = sequential under faults" `Quick
+      test_star_faults_differential;
     Alcotest.test_case "star: quiescence without horizon" `Quick
       test_star_quiescence;
     Alcotest.test_case "pool: frames crossing shards stay intact" `Quick
