@@ -42,7 +42,8 @@ let wan_mode =
     ~deadline_budget:(Units.Time.ms 20., notify_ip)
     ~age_budget_us:20_000 ()
 
-let rewriter = Mmt_innet.Mode_rewriter.create ~mode:wan_mode ()
+let rewriter =
+  Mmt_innet.Mode_rewriter.create ~mode:wan_mode ~pool:(Mmt_sim.Pool.create ()) ()
 let rewriter_element = Mmt_innet.Mode_rewriter.element rewriter
 
 let mode0_frame = Bytes.cat encoded_mode0 (Bytes.make 1024 'p')
@@ -426,7 +427,7 @@ let check_forward_path () =
   let pool = Mmt_sim.Ring.pool ring in
   let link =
     Mmt_sim.Link.create ~engine ~name:"fwd" ~rate:(Units.Rate.gbps 100.)
-      ~propagation:(Units.Time.us 1.) ~pool ~ring
+      ~propagation:(Units.Time.us 1.) ~ring
       ~deliver:(Mmt_sim.Ring.in_packet_done ring)
       ()
   in
@@ -518,7 +519,7 @@ let check_forward_breakdown ~forward_ns () =
   let queue_loop k =
     for _ = 1 to k do
       ignore (Mmt_sim.Queue_model.enqueue queue ~now:Units.Time.zero qp);
-      ignore (Mmt_sim.Queue_model.poll queue ~now:Units.Time.zero)
+      ignore (Mmt_sim.Queue_model.poll queue ~now:Units.Time.zero ~expired:ignore)
     done
   in
   queue_loop 10_000;
@@ -556,9 +557,9 @@ let check_forward_breakdown ~forward_ns () =
   ]
 
 (* E-F4 pilot allocation audit: the whole pilot (senders, links,
-   rewriter, INT path, receiver, event builder) with pools on vs off.
-   Pooling must cut minor-heap traffic and the ring must account for
-   (and retire) the packets it handed out. *)
+   rewriter, INT path, receiver, event builder) on its packet rings.
+   Minor-heap traffic per event is gated against the baseline, and the
+   ring must account for (and retire) the packets it handed out. *)
 let pilot_audit_config =
   {
     Mmt_pilot.Pilot.default_config with
@@ -570,48 +571,41 @@ let pilot_audit_config =
   }
 
 let check_pilot_allocation () =
-  let measure ~pooling =
-    let pilot = Mmt_pilot.Pilot.build ~pooling pilot_audit_config in
+  let measure () =
+    let pilot = Mmt_pilot.Pilot.build pilot_audit_config in
     Gc.full_major ();
     let before = Gc.minor_words () in
     Mmt_pilot.Pilot.run pilot;
     let after = Gc.minor_words () in
     (after -. before, pilot)
   in
-  ignore (measure ~pooling:true) (* warm *);
-  let pooled_words, pilot = measure ~pooling:true in
-  let plain_words, _ = measure ~pooling:false in
+  ignore (measure ()) (* warm *);
+  let words, pilot = measure () in
   let events = Mmt_sim.Engine.processed (Mmt_pilot.Pilot.engine pilot) in
   let delivered =
     (Mmt_pilot.Pilot.results pilot).Mmt_pilot.Pilot.receiver
       .Mmt.Receiver.delivered
   in
-  let ring =
-    match Mmt_pilot.Pilot.ring_stats pilot with s :: _ -> Some s | [] -> None
-  in
+  let ring = List.hd (Mmt_pilot.Pilot.ring_stats pilot) in
   let recycle_ratio =
-    match ring with
-    | Some r when r.Mmt_sim.Ring.acquired > 0 ->
-        float_of_int r.Mmt_sim.Ring.retired
-        /. float_of_int r.Mmt_sim.Ring.acquired
-    | Some _ | None -> 0.
+    if ring.Mmt_sim.Ring.acquired > 0 then
+      float_of_int ring.Mmt_sim.Ring.retired
+      /. float_of_int ring.Mmt_sim.Ring.acquired
+    else 0.
   in
   Printf.printf
-    "E-F4 pilot minor words: pooled %.2e, pool-off %.2e (%.2fx less), %.1f \
-     words/event pooled over %d events, %d delivered\n"
-    pooled_words plain_words
-    (if pooled_words > 0. then plain_words /. pooled_words else 0.)
-    (pooled_words /. float_of_int events)
+    "E-F4 pilot minor words: %.2e, %.1f words/event over %d events, %d \
+     delivered\n"
+    words
+    (words /. float_of_int events)
     events delivered;
-  (match ring with
-  | Some r ->
-      Printf.printf
-        "E-F4 pilot ring: %d acquires, %d retired (recycle ratio %.3f), %d \
-         in use at quiescence, %d overflow, %d detached\n"
-        r.Mmt_sim.Ring.acquired r.Mmt_sim.Ring.retired recycle_ratio
-        r.Mmt_sim.Ring.in_use r.Mmt_sim.Ring.overflow r.Mmt_sim.Ring.detached
-  | None -> ());
-  (pooled_words, plain_words, events, delivered, ring, recycle_ratio)
+  Printf.printf
+    "E-F4 pilot ring: %d acquires, %d retired (recycle ratio %.3f), %d in \
+     use at quiescence, %d overflow, %d detached\n"
+    ring.Mmt_sim.Ring.acquired ring.Mmt_sim.Ring.retired recycle_ratio
+    ring.Mmt_sim.Ring.in_use ring.Mmt_sim.Ring.overflow
+    ring.Mmt_sim.Ring.detached;
+  (words, events, delivered, ring, recycle_ratio)
 
 (* Allocation audit: `Engine.schedule` must not allocate beyond the
    caller's callback.  Measured outside bechamel so the measurement
@@ -752,9 +746,7 @@ let write_json ~path ~quota ~limit ~jobs ~micro ~alloc_words ~sharded
   let fwd_ns, fwd_words, (fwd_ring : Mmt_sim.Ring.stats), fwd_recycle =
     forward
   in
-  let pa_pooled, pa_plain, pa_events, pa_delivered, pa_ring, pa_recycle =
-    pilot_audit
-  in
+  let pa_words, pa_events, pa_delivered, pa_ring, pa_recycle = pilot_audit in
   let gc = Gc.get () in
   let ring_json (r : Mmt_sim.Ring.stats) =
     Printf.sprintf
@@ -796,23 +788,17 @@ let write_json ~path ~quota ~limit ~jobs ~micro ~alloc_words ~sharded
   Buffer.add_string buf "  },\n";
   Buffer.add_string buf "  \"pilot_audit\": {\n";
   Buffer.add_string buf
-    (Printf.sprintf "    \"minor_words_pooled\": %.0f,\n" pa_pooled);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"minor_words_plain\": %.0f,\n" pa_plain);
+    (Printf.sprintf "    \"minor_words_pooled\": %.0f,\n" pa_words);
   Buffer.add_string buf
     (Printf.sprintf "    \"minor_words_per_event_pooled\": %.2f,\n"
-       (pa_pooled /. float_of_int pa_events));
+       (pa_words /. float_of_int pa_events));
   Buffer.add_string buf (Printf.sprintf "    \"events\": %d,\n" pa_events);
   Buffer.add_string buf
     (Printf.sprintf "    \"delivered\": %d,\n" pa_delivered);
   Buffer.add_string buf
-    (Printf.sprintf "    \"ring_recycle_ratio\": %.4f%s\n" pa_recycle
-       (if pa_ring = None then "" else ","));
-  Option.iter
-    (fun r ->
-      Buffer.add_string buf
-        (Printf.sprintf "    \"ring\": %s\n" (ring_json r)))
-    pa_ring;
+    (Printf.sprintf "    \"ring_recycle_ratio\": %.4f,\n" pa_recycle);
+  Buffer.add_string buf
+    (Printf.sprintf "    \"ring\": %s\n" (ring_json pa_ring));
   Buffer.add_string buf "  },\n";
   Buffer.add_string buf
     (Printf.sprintf "  \"schedule_alloc_minor_words\": %.3f,\n" alloc_words);

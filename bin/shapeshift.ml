@@ -137,17 +137,8 @@ let pilot_cmd =
              sequential run (which remains the default, and the \
              fallback when the topology yields fewer than two pieces).")
   in
-  let no_pool =
-    Arg.(
-      value & flag
-      & info [ "no-pool" ]
-          ~doc:
-            "Disable the preallocated packet rings (pure-GC allocation).  \
-             Pooling changes the allocator only: the results are \
-             byte-identical either way.")
-  in
   let run profile fragments loss corrupt researchers deadline_ms seed int_flag
-      shards no_pool =
+      shards =
     let config =
       {
         Mmt_pilot.Pilot.default_config with
@@ -169,7 +160,7 @@ let pilot_cmd =
     let shards =
       if shards = 0 then Mmt_util.Task_pool.recommended_jobs () else shards
     in
-    let pilot = Mmt_pilot.Pilot.build ~shards ~pooling:(not no_pool) config in
+    let pilot = Mmt_pilot.Pilot.build ~shards config in
     Mmt_pilot.Pilot.run pilot;
     let r = Mmt_pilot.Pilot.results pilot in
     let receiver = r.Mmt_pilot.Pilot.receiver in
@@ -217,7 +208,7 @@ let pilot_cmd =
     (Cmd.info "pilot" ~doc:"Run the Fig. 4 pilot topology with custom parameters.")
     Term.(
       const run $ profile_arg $ fragments $ loss $ corrupt $ researchers
-      $ deadline_ms $ seed $ int_flag $ shards $ no_pool)
+      $ deadline_ms $ seed $ int_flag $ shards)
 
 (* `shapeshift telemetry` ---------------------------------------------------- *)
 
@@ -670,27 +661,7 @@ let facility_cmd =
             "Print the static topology plan for $(docv) flows and exit \
              without simulating.")
   in
-  let no_pool =
-    Arg.(
-      value & flag
-      & info [ "no-pool" ]
-          ~doc:
-            "Disable the preallocated packet rings (pure-GC allocation).  \
-             Pooling changes the allocator only: the report is \
-             byte-identical either way.")
-  in
-  let gc_minor_kb =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "gc-minor-kb" ] ~docv:"KIB"
-          ~doc:
-            "Per-domain minor-heap size in KiB for the run (restored \
-             afterwards).  Bigger minor heaps amortize OCaml 5's \
-             stop-the-world minor collections across shard windows.")
-  in
-  let run min_flows max_flows jobs shards seed duration_ms loss plan no_pool
-      gc_minor_kb =
+  let run min_flows max_flows jobs shards seed duration_ms loss plan =
     if jobs < 0 then begin
       Printf.eprintf "shapeshift facility: --jobs must be 0 (auto) or positive\n";
       2
@@ -725,18 +696,8 @@ let facility_cmd =
           end
           else begin
             let points = Mmt_facility.Sweep.log_points ~lo:min_flows ~hi:max_flows () in
-            let gc =
-              Option.map
-                (fun kb ->
-                  {
-                    Mmt_sim.Shard.minor_heap_kb = Some kb;
-                    space_overhead = None;
-                  })
-                gc_minor_kb
-            in
             let output, ok =
-              Mmt_experiments.Facility.report ~jobs ~shards
-                ~pooling:(not no_pool) ?gc ~base ~points ()
+              Mmt_experiments.Facility.report ~jobs ~shards ~base ~points ()
             in
             print_string output;
             print_newline ();
@@ -752,7 +713,7 @@ let facility_cmd =
           shared WAN bottleneck.")
     Term.(
       const run $ min_flows $ max_flows $ jobs $ shards $ seed $ duration_ms
-      $ loss $ plan $ no_pool $ gc_minor_kb)
+      $ loss $ plan)
 
 (* `shapeshift trace` ----------------------------------------------------------- *)
 
@@ -769,6 +730,7 @@ let trace_cmd =
     let engine = Mmt_sim.Engine.create () in
     let trace = Mmt_sim.Trace.create () in
     let topo = Mmt_sim.Topology.create ~engine ~trace () in
+    let ring = Mmt_sim.Topology.ring topo in
     let fresh_id () = Mmt_sim.Topology.fresh_packet_id topo in
     let rng = Rng.create ~seed:2L in
     let src = Mmt_sim.Topology.add_node topo ~name:"sensor" in
@@ -792,7 +754,7 @@ let trace_cmd =
       Mmt_sim.Topology.connect topo ~src:dst ~dst:buf ~rate
         ~propagation:(Units.Time.ms 2.) ()
     in
-    let router_b = Mmt_pilot.Router.create ~default:(Mmt_sim.Link.send b_to_d) () in
+    let router_b = Mmt_pilot.Router.create ~default:(Mmt_sim.Link.send b_to_d) ~ring () in
     let env_b = Mmt_pilot.Router.env router_b ~engine ~fresh_id ~local_ip:buf_ip in
     let buffer = Mmt.Buffer_host.create ~env:env_b ~capacity:(Units.Size.mib 16) () in
     let mode = Mmt.Mode.make ~name:"wan" ~reliable:buf_ip ~age_budget_us:50_000 () in
@@ -801,10 +763,10 @@ let trace_cmd =
         ~re_encap:(Mmt.Encap.Over_ipv4 { src = buf_ip; dst = dst_ip; dscp = 0; ttl = 64 })
         ~on_rewrite:(fun ~seq ~born frame ->
           Option.iter (fun seq -> Mmt.Buffer_host.store buffer ~seq ~born frame) seq)
-        ()
+        ~pool:(Mmt_sim.Ring.pool ring) ()
     in
     let _sw =
-      Mmt_innet.Switch.attach ~engine ~node:buf ~profile:Mmt_innet.Switch.alveo_smartnic
+      Mmt_innet.Switch.attach ~engine ~ring ~node:buf ~profile:Mmt_innet.Switch.alveo_smartnic
         ~elements:[ Mmt_innet.Mode_rewriter.element rewriter ]
         ~route:(fun packet ->
           match Mmt.Encap.locate (Mmt_sim.Packet.frame packet) with
@@ -817,7 +779,7 @@ let trace_cmd =
           | _ -> Some (Mmt_sim.Link.send b_to_d))
         ()
     in
-    let router_d = Mmt_pilot.Router.create ~default:(Mmt_sim.Link.send d_to_b) () in
+    let router_d = Mmt_pilot.Router.create ~default:(Mmt_sim.Link.send d_to_b) ~ring () in
     let env_d = Mmt_pilot.Router.env router_d ~engine ~fresh_id ~local_ip:dst_ip in
     let receiver =
       Mmt.Receiver.create ~env:env_d
@@ -831,7 +793,7 @@ let trace_cmd =
         ~deliver:(fun _ _ -> ())
     in
     Mmt_sim.Node.set_handler dst (Mmt.Receiver.on_packet receiver);
-    let router_s = Mmt_pilot.Router.create ~default:(Mmt_sim.Link.send s_to_b) () in
+    let router_s = Mmt_pilot.Router.create ~default:(Mmt_sim.Link.send s_to_b) ~ring () in
     let env_s = Mmt_pilot.Router.env router_s ~engine ~fresh_id ~local_ip:src_ip in
     let sender =
       Mmt.Sender.create ~env:env_s

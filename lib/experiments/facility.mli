@@ -8,8 +8,6 @@
 val report :
   ?jobs:int ->
   ?shards:int ->
-  ?pooling:bool ->
-  ?gc:Mmt_sim.Shard.gc_tuning ->
   ?base:Mmt_facility.Scenario.config ->
   ?points:int list ->
   unit ->
@@ -17,9 +15,7 @@ val report :
 (** Render the sweep (optionally across domains — [jobs] parallelizes
     over sweep points, [shards] parallelizes within each point; output
     is byte-identical to the sequential run either way) plus the shape
-    checks.  [pooling] (default on) and [gc] pass through to every
-    point's {!Mmt_facility.Scenario.run} — neither changes a byte of
-    output.  The determinism check re-runs the first point on a plain
+    checks.  The determinism check re-runs the first point on a plain
     sequential engine, so a sharded sweep is cross-checked against
     sequential execution on every invocation. *)
 

@@ -249,10 +249,7 @@ type built = {
 let build ?(on_deliver = fun ~flow:_ ~seq:_ -> ()) config topo =
   (* Shard-local packet arenas: every router, switch and element on a
      node recycles through that node's shard ring. *)
-  let node_ring node =
-    Mmt_sim.Topology.ring_of_shard topo (Mmt_sim.Topology.shard_of_node topo node)
-  in
-  let node_pool node = Option.map Mmt_sim.Ring.pool (node_ring node) in
+  let node_ring = Mmt_sim.Topology.node_ring topo in
   let spans = site_spans config in
   let nsites = Array.length spans in
   let site_of = Array.make config.flows 0 in
@@ -424,7 +421,7 @@ let build ?(on_deliver = fun ~flow:_ ~seq:_ -> ()) config topo =
         let router =
           Mmt_pilot.Router.create
             ~default:(Mmt_sim.Link.send metro_up.(s))
-            ?ring:(node_ring sedges.(s))
+            ~ring:(node_ring sedges.(s))
             ()
         in
         let env =
@@ -444,7 +441,7 @@ let build ?(on_deliver = fun ~flow:_ ~seq:_ -> ()) config topo =
         in
         let buffer = Option.get (Flow_table.get buffers f) in
         Mmt_innet.Mode_rewriter.create ~mode
-          ?pool:(node_pool sedges.(site_of.(f)))
+          ~pool:(Mmt_sim.Ring.pool (node_ring sedges.(site_of.(f))))
           ~on_rewrite:(fun ~seq ~born frame ->
             match seq with
             | Some seq -> Mmt.Buffer_host.store buffer ~seq ~born frame
@@ -468,10 +465,8 @@ let build ?(on_deliver = fun ~flow:_ ~seq:_ -> ()) config topo =
           | Mmt_innet.Element.Forward p -> Mmt_sim.Link.send uplink p
           | Mmt_innet.Element.Replicate ps ->
               List.iter (Mmt_sim.Link.send uplink) ps
-          | Mmt_innet.Element.Discard _ -> (
-              match ring with
-              | Some ring -> Mmt_sim.Ring.in_packet_done ring packet
-              | None -> ()))
+          | Mmt_innet.Element.Discard _ ->
+              Mmt_sim.Ring.in_packet_done ring packet)
   in
   let nak_handlers =
     Flow_table.init ~flows:config.flows (fun f ->
@@ -493,7 +488,7 @@ let build ?(on_deliver = fun ~flow:_ ~seq:_ -> ()) config topo =
       (Mmt_innet.Switch.attach
          ~engine:(Mmt_sim.Topology.node_engine topo sedges.(s))
          ~node:sedges.(s) ~profile:Mmt_innet.Switch.tofino2
-         ?ring:(node_ring sedges.(s)) ~elements:[] ~route:sedge_route ())
+         ~ring:(node_ring sedges.(s)) ~elements:[] ~route:sedge_route ())
   done;
 
   (* Facility edge: rewritten site traffic goes out the WAN; NAKs
@@ -513,7 +508,7 @@ let build ?(on_deliver = fun ~flow:_ ~seq:_ -> ()) config topo =
     Mmt_innet.Switch.attach
       ~engine:(Mmt_sim.Topology.node_engine topo edge_in)
       ~node:edge_in ~profile:Mmt_innet.Switch.tofino2
-      ?ring:(node_ring edge_in) ~elements:[] ~route:edge_in_route ()
+      ~ring:(node_ring edge_in) ~elements:[] ~route:edge_in_route ()
   in
 
   (* Facility edge (sink side): route each flow to its sink host. *)
@@ -530,7 +525,7 @@ let build ?(on_deliver = fun ~flow:_ ~seq:_ -> ()) config topo =
     Mmt_innet.Switch.attach
       ~engine:(Mmt_sim.Topology.node_engine topo edge_out)
       ~node:edge_out ~profile:Mmt_innet.Switch.tofino2
-      ?ring:(node_ring edge_out) ~elements:[] ~route:edge_out_route ()
+      ~ring:(node_ring edge_out) ~elements:[] ~route:edge_out_route ()
   in
 
   (* Receivers: one per flow, on the flow's sink host; NAKs and other
@@ -545,7 +540,7 @@ let build ?(on_deliver = fun ~flow:_ ~seq:_ -> ()) config topo =
         let router =
           Mmt_pilot.Router.create
             ~default:(Mmt_sim.Link.send wan_reverse)
-            ?ring:(node_ring sinks.(sink))
+            ~ring:(node_ring sinks.(sink))
             ()
         in
         let env =
@@ -566,12 +561,7 @@ let build ?(on_deliver = fun ~flow:_ ~seq:_ -> ()) config topo =
   in
   Array.iter
     (fun sink_node ->
-      let ring = node_ring sink_node in
-      let retire packet =
-        match ring with
-        | Some ring -> Mmt_sim.Ring.in_packet_done ring packet
-        | None -> ()
-      in
+      let retire = Mmt_sim.Ring.in_packet_done (node_ring sink_node) in
       Mmt_sim.Node.set_handler sink_node (fun packet ->
           match frame_dst (Mmt_sim.Packet.frame packet) with
           | Some dst -> (
@@ -595,7 +585,7 @@ let build ?(on_deliver = fun ~flow:_ ~seq:_ -> ()) config topo =
         let router =
           Mmt_pilot.Router.create
             ~default:(Mmt_sim.Link.send source_links.(f))
-            ?ring:(node_ring sources.(f))
+            ~ring:(node_ring sources.(f))
             ()
         in
         let env =
@@ -634,11 +624,11 @@ let build ?(on_deliver = fun ~flow:_ ~seq:_ -> ()) config topo =
   in
   { workloads; receivers; buffers; rewriters; senders }
 
-let run ?(shards = 1) ?(pooling = true) ?gc config =
+let run ?(shards = 1) config =
   if config.flows < 1 then invalid_arg "Scenario.run: flows must be positive";
   if config.sinks < 1 then invalid_arg "Scenario.run: sinks must be positive";
   let topo, { workloads; receivers; buffers; _ }, runner =
-    Mmt_sim.Shard.build ~shards ~pooling (build config)
+    Mmt_sim.Shard.build ~shards (build config)
   in
   (* Run to quiescence; the cap is a safety bound well past the worst
      NAK-retry chain, not a working deadline. *)
@@ -647,20 +637,10 @@ let run ?(shards = 1) ?(pooling = true) ?gc config =
     match runner with
     | None ->
         let engine = Mmt_sim.Topology.engine topo in
-        (match gc with
-        | None -> Mmt_sim.Engine.run ~until engine
-        | Some tuning ->
-            (* Same GC parameters a sharded run's domains would get,
-               restored afterwards. *)
-            let saved = Gc.get () in
-            Fun.protect
-              ~finally:(fun () -> Gc.set saved)
-              (fun () ->
-                Mmt_sim.Shard.apply_gc tuning;
-                Mmt_sim.Engine.run ~until engine));
+        Mmt_sim.Engine.run ~until engine;
         Mmt_sim.Engine.processed engine
     | Some r ->
-        Mmt_sim.Shard.run ~until ?gc r;
+        Mmt_sim.Shard.run ~until r;
         Mmt_sim.Shard.events r
   in
 

@@ -112,12 +112,7 @@ type result = {
   events : int;  (** engine events processed, summed over shards *)
 }
 
-val run :
-  ?shards:int ->
-  ?pooling:bool ->
-  ?gc:Mmt_sim.Shard.gc_tuning ->
-  config ->
-  result
+val run : ?shards:int -> config -> result
 (** Build the scenario on fresh engines, run it to completion (with a
     one-second drain cap past [duration] as a safety bound), and read
     the metrics back from the endpoints' own statistics.
@@ -128,12 +123,5 @@ val run :
     Results are byte-identical at every shard count — [run ~shards:n]
     changes wall-clock time, never the simulation.  Counts above the
     number of cut components fold back; [shards <= 1] runs the plain
-    sequential engine.
-
-    [pooling] (default [true]) gives every shard a preallocated packet
-    {!Mmt_sim.Ring} through which the whole forwarding path recycles
-    records and frames; [pooling:false] opts out (pure-GC allocation).
-    Either setting produces byte-identical results — pooling changes
-    the allocator, never a field value.  [gc] applies per-domain GC
-    tuning for the duration of the run (sequential runs apply it to
-    the calling domain and restore the previous settings). *)
+    sequential engine.  Every shard's forwarding path recycles packet
+    records and frames through the shard's {!Mmt_sim.Ring}. *)

@@ -13,16 +13,13 @@ let effective_jobs jobs n =
   let requested = if jobs <= 0 then cap else min jobs cap in
   max 1 (min requested n)
 
-let run ?(jobs = 1) ?(shards = 1) ?(pooling = true) ?gc ~base ~points () =
+let run ?(jobs = 1) ?(shards = 1) ~base ~points () =
   let points = Array.of_list points in
   let n = Array.length points in
   let results = Array.make n None in
   let one i =
     let flows = points.(i) in
-    results.(i) <-
-      Some
-        ( flows,
-          Scenario.run ~shards ~pooling ?gc { base with Scenario.flows } )
+    results.(i) <- Some (flows, Scenario.run ~shards { base with Scenario.flows })
   in
   let jobs = effective_jobs jobs n in
   if jobs = 1 then

@@ -14,8 +14,6 @@ val log_points : ?lo:int -> ?hi:int -> unit -> int list
 val run :
   ?jobs:int ->
   ?shards:int ->
-  ?pooling:bool ->
-  ?gc:Mmt_sim.Shard.gc_tuning ->
   base:Scenario.config ->
   points:int list ->
   unit ->
@@ -26,5 +24,4 @@ val run :
     parallelizes {e within} each point via {!Scenario.run} — the two
     axes compose, and neither changes a byte of output.  Prefer
     [jobs] when there are many points and [shards] when one huge
-    point dominates.  [pooling] and [gc] pass through to
-    {!Scenario.run} for every point. *)
+    point dominates. *)

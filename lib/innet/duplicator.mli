@@ -18,15 +18,10 @@ type stats = {
 type t
 
 val create :
-  env:Mmt_runtime.Env.t ->
-  ?pool:Mmt_sim.Pool.t ->
-  consumers:Addr.Ip.t list ->
-  unit ->
-  t
-(** When the environment carries a ring, consumer copies are
-    slot-allocated from it (records and frames both recycled); with
-    [pool] — or falling back to the ring's pool — the internal marked
-    scratch frame is recycled after the fan-out. *)
+  env:Mmt_runtime.Env.t -> consumers:Addr.Ip.t list -> unit -> t
+(** Consumer copies are slot-allocated from the environment's ring
+    (records and frames both recycled), and the internal marked scratch
+    frame is recycled into the ring's pool after the fan-out. *)
 
 val element : t -> Element.t
 val stats : t -> stats

@@ -136,10 +136,8 @@ let construct config topo =
   (* Each host hands its shard's packet ring to its router, switch and
      elements, so every retirement point recycles into the right
      domain-local arena. *)
-  let node_ring node =
-    Mmt_sim.Topology.ring_of_shard topo (Mmt_sim.Topology.shard_of_node topo node)
-  in
-  let node_pool node = Option.map Mmt_sim.Ring.pool (node_ring node) in
+  let node_ring = Mmt_sim.Topology.node_ring topo in
+  let node_pool node = Mmt_sim.Ring.pool (node_ring node) in
 
   (* Links.  Data direction carries the WAN impairments; the control
      (reverse) direction is clean, NAK retries cover the rest. *)
@@ -211,7 +209,7 @@ let construct config topo =
       let sink =
         Mmt_int.Sink.create ~node_id:3
           ~emit:(Mmt_int.Collector.add collector)
-          ?pool:(node_pool dtn2) ()
+          ~pool:(node_pool dtn2) ()
       in
       Some { collector; dtn1_stamper; tofino_stamper; sink }
   in
@@ -222,7 +220,7 @@ let construct config topo =
   in
 
   (* DTN 1: buffer host + mode-0 -> mode-1 rewriter. *)
-  let router_d1 = Router.create ?ring:(node_ring dtn1) () in
+  let router_d1 = Router.create ~ring:(node_ring dtn1) () in
   Router.add router_d1 Address.dtn2_ip (Mmt_sim.Link.send d1_to_sw);
   Router.add router_d1 Address.sensor_ip (Mmt_sim.Link.send d1_to_s);
   List.iteri
@@ -250,7 +248,7 @@ let construct config topo =
       ~re_encap:
         (Mmt.Encap.Over_ipv4
            { src = Address.dtn1_ip; dst = Address.dtn2_ip; dscp = 0; ttl = 64 })
-      ?pool:(node_pool dtn1)
+      ~pool:(node_pool dtn1)
       ~on_rewrite:(fun ~seq ~born frame ->
         match seq with
         | Some seq -> Mmt.Buffer_host.store buffer ~seq ~born frame
@@ -271,7 +269,7 @@ let construct config topo =
   in
   let dtn1_switch =
     Mmt_innet.Switch.attach ~engine:e_d1 ~node:dtn1 ~profile:p.Profile.nic
-      ?ring:(node_ring dtn1)
+      ~ring:(node_ring dtn1)
       ~elements:
         (Mmt_innet.Mode_rewriter.element rewriter
         :: int_element (fun state -> state.dtn1_stamper))
@@ -280,7 +278,7 @@ let construct config topo =
 
   (* Tofino2: age tracking, optional duplication / back-pressure /
      in-network timeliness. *)
-  let router_sw = Router.create ?ring:(node_ring tofino) () in
+  let router_sw = Router.create ~ring:(node_ring tofino) () in
   Router.add router_sw Address.dtn1_ip (Mmt_sim.Link.send sw_to_d1);
   Router.add router_sw Address.dtn2_ip (Mmt_sim.Link.send sw_to_d2);
   Router.add router_sw Address.sensor_ip (Mmt_sim.Link.send sw_to_d1);
@@ -348,12 +346,12 @@ let construct config topo =
   in
   let tofino_switch =
     Mmt_innet.Switch.attach ~engine:e_sw ~node:tofino ~profile:p.Profile.switch
-      ?ring:(node_ring tofino) ~elements:tofino_elements ~route:tofino_route ()
+      ~ring:(node_ring tofino) ~elements:tofino_elements ~route:tofino_route ()
   in
 
   (* DTN 2: the receiving endpoint (mode 3 timeliness check happens in
      the receiver). *)
-  let router_d2 = Router.create ?ring:(node_ring dtn2) () in
+  let router_d2 = Router.create ~ring:(node_ring dtn2) () in
   Router.add router_d2 Address.dtn1_ip (Mmt_sim.Link.send d2_to_sw);
   Router.add router_d2 Address.sensor_ip (Mmt_sim.Link.send d2_to_sw);
   let env_d2 =
@@ -387,7 +385,7 @@ let construct config topo =
          before the packet crosses into the host. *)
       ignore
         (Mmt_innet.Switch.attach ~engine:e_d2 ~node:dtn2 ~profile:p.Profile.nic
-           ?ring:(node_ring dtn2)
+           ~ring:(node_ring dtn2)
            ~elements:[ Mmt_int.Sink.element state.sink ]
            ~route:(fun _packet -> Some to_receiver)
            ())
@@ -399,12 +397,10 @@ let construct config topo =
       (fun i node ->
         (* Keep the historic drop-silently default but recycle the
            dropped packet (same unrouted accounting either way). *)
-        let default =
-          match node_ring node with
-          | Some ring -> fun packet -> Mmt_sim.Ring.in_packet_done ring packet
-          | None -> ignore
+        let ring = node_ring node in
+        let router =
+          Router.create ~default:(Mmt_sim.Ring.in_packet_done ring) ~ring ()
         in
-        let router = Router.create ~default ?ring:(node_ring node) () in
         let env =
           Router.env router
             ~engine:(Mmt_sim.Topology.node_engine topo node)
@@ -423,7 +419,7 @@ let construct config topo =
 
   (* Sensor: mode-0 sender fed by the DAQ workload. *)
   let router_s =
-    Router.create ~default:(Mmt_sim.Link.send s_to_d1) ?ring:(node_ring sensor)
+    Router.create ~default:(Mmt_sim.Link.send s_to_d1) ~ring:(node_ring sensor)
       ()
   in
   let env_s =
@@ -460,9 +456,7 @@ let construct config topo =
                  in
                  Mmt.Sender.on_control sender header payload));
       (* The sensor consumes whatever reaches it (control + strays). *)
-      match sensor_ring with
-      | Some ring -> Mmt_sim.Ring.in_packet_done ring packet
-      | None -> ());
+      Mmt_sim.Ring.in_packet_done sensor_ring packet);
 
   (* One workload per instrument slice, each the catalog shape; the
      event builder at DTN 2 reunites their matching trigger numbers. *)
@@ -510,25 +504,14 @@ let construct config topo =
     int_state;
   }
 
-let build ?(shards = 1) ?(pooling = true) config =
-  let _topo, t, runner =
-    Mmt_sim.Shard.build ~shards ~pooling (construct config)
-  in
+let build ?(shards = 1) config =
+  let _topo, t, runner = Mmt_sim.Shard.build ~shards (construct config) in
   { t with runner }
 
-let run ?gc t =
+let run t =
   match t.runner with
-  | Some runner -> Mmt_sim.Shard.run ?gc runner
-  | None -> (
-      match gc with
-      | None -> Mmt_sim.Engine.run t.engine
-      | Some tuning ->
-          let saved = Gc.get () in
-          Fun.protect
-            ~finally:(fun () -> Gc.set saved)
-            (fun () ->
-              Mmt_sim.Shard.apply_gc tuning;
-              Mmt_sim.Engine.run t.engine))
+  | Some runner -> Mmt_sim.Shard.run runner
+  | None -> Mmt_sim.Engine.run t.engine
 
 let nshards t =
   match t.runner with Some runner -> Mmt_sim.Shard.nshards runner | None -> 1
@@ -593,9 +576,9 @@ let config (t : t) = t.config
 let engine (t : t) = t.engine
 
 let ring_stats (t : t) =
-  List.filter_map
-    (fun shard -> Option.map Mmt_sim.Ring.stats (Mmt_sim.Topology.ring_of_shard t.topo shard))
-    (List.init (Mmt_sim.Topology.nshards t.topo) Fun.id)
+  List.init (Mmt_sim.Topology.nshards t.topo) Fun.id
+  |> List.filter_map (Mmt_sim.Topology.ring_of_shard t.topo)
+  |> List.map Mmt_sim.Ring.stats
 
 let int_collector (t : t) =
   Option.map (fun state -> state.collector) t.int_state

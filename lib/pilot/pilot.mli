@@ -58,7 +58,7 @@ val default_config : config
 
 type t
 
-val build : ?shards:int -> ?pooling:bool -> config -> t
+val build : ?shards:int -> config -> t
 (** Construct the pilot.  [shards] (default 1) asks for domain-per-core
     parallel execution: the topology is cut at its WAN links (all at or
     above {!Mmt_sim.Link.cut_threshold}) and the resulting components —
@@ -66,15 +66,11 @@ val build : ?shards:int -> ?pooling:bool -> config -> t
     spread over up to [shards] engines via {!Mmt_sim.Shard.build}.
     Results are byte-identical to the sequential run.  Falls back to
     sequential when [shards < 2] or the cut yields fewer than two
-    components (e.g. a sub-millisecond [wan_rtt]).  [pooling] (default
-    [true]) gives every shard a packet {!Mmt_sim.Ring}; [pooling:false]
-    opts out — either way the results are byte-identical. *)
+    components (e.g. a sub-millisecond [wan_rtt]). *)
 
-val run : ?gc:Mmt_sim.Shard.gc_tuning -> t -> unit
+val run : t -> unit
 (** Drive the simulation to quiescence — on one engine, or on one
-    domain per shard when [build] was given [~shards].  [gc] applies
-    per-domain GC tuning for the duration of the run (restored
-    afterwards on the calling domain). *)
+    domain per shard when [build] was given [~shards]. *)
 
 val nshards : t -> int
 (** Engines actually engaged: 1 after a sequential fallback. *)
@@ -111,7 +107,7 @@ val engine : t -> Mmt_sim.Engine.t
 
 val ring_stats : t -> Mmt_sim.Ring.stats list
 (** Per-shard packet-ring statistics (recycle ratios for the bench
-    report); empty when built with [~pooling:false]. *)
+    report). *)
 
 val int_nodes : (int * string) list
 (** INT node ids used by the topology: dtn1 = 1, tofino2 = 2,

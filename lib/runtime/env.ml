@@ -5,36 +5,22 @@ type t = {
   local_ip : Addr.Ip.t;
   send : Addr.Ip.t -> Mmt_sim.Packet.t -> unit;
   fresh_id : unit -> int;
-  ring : Mmt_sim.Ring.t option;
+  ring : Mmt_sim.Ring.t;
 }
 
 let now t = Mmt_sim.Engine.now t.engine
 let after t delay fn = Mmt_sim.Engine.schedule_after t.engine ~delay fn
 
 let packet t ?(padding = 0) frame =
-  match t.ring with
-  | Some ring ->
-      Mmt_sim.Ring.alloc ring ~padding ~id:(t.fresh_id ()) ~born:(now t) frame
-  | None ->
-      Mmt_sim.Packet.create ~padding ~id:(t.fresh_id ()) ~born:(now t) frame
+  Mmt_sim.Ring.alloc t.ring ~padding ~id:(t.fresh_id ()) ~born:(now t) frame
 
 let packet_sized t ?(padding = 0) len =
-  match t.ring with
-  | Some ring ->
-      Mmt_sim.Ring.in_packet ring ~padding ~id:(t.fresh_id ()) ~born:(now t)
-        len
-  | None ->
-      Mmt_sim.Packet.create ~padding ~id:(t.fresh_id ()) ~born:(now t)
-        (Bytes.create len)
+  Mmt_sim.Ring.in_packet t.ring ~padding ~id:(t.fresh_id ()) ~born:(now t) len
 
-let retire t packet =
-  match t.ring with
-  | Some ring -> Mmt_sim.Ring.in_packet_done ring packet
-  | None -> ()
+let retire t packet = Mmt_sim.Ring.in_packet_done t.ring packet
+let pool t = Mmt_sim.Ring.pool t.ring
 
-let pool t = Option.map Mmt_sim.Ring.pool t.ring
-
-let loopback ?(local_ip = Addr.Ip.of_octets 127 0 0 1) ?ring engine =
+let loopback ?(local_ip = Addr.Ip.of_octets 127 0 0 1) engine =
   let queue = Queue.create () in
   let counter = ref 0 in
   let fresh_id () =
@@ -43,4 +29,5 @@ let loopback ?(local_ip = Addr.Ip.of_octets 127 0 0 1) ?ring engine =
     id
   in
   let send _dst pkt = Queue.push pkt queue in
-  ({ engine; local_ip; send; fresh_id; ring }, queue)
+  ( { engine; local_ip; send; fresh_id; ring = Mmt_sim.Ring.create () },
+    queue )

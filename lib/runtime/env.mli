@@ -3,8 +3,8 @@
     Transport endpoints (both the multi-modal transport and the TCP/UDP
     baselines) are written against this capability record instead of a
     concrete topology: a clock and timers from the simulation engine,
-    an IP-addressed send primitive, fresh packet identities, and — when
-    the topology pools — the host's shard-local packet {!Mmt_sim.Ring}.
+    an IP-addressed send primitive, fresh packet identities, and the
+    host's shard-local packet {!Mmt_sim.Ring}.
     The pilot layer constructs one per host from a
     {!Mmt_sim.Topology}. *)
 
@@ -19,19 +19,17 @@ type t = {
           corresponding link.  Unroutable destinations are counted and
           dropped by the implementation. *)
   fresh_id : unit -> int;  (** Fresh packet identity. *)
-  ring : Mmt_sim.Ring.t option;
+  ring : Mmt_sim.Ring.t;
       (** The shard-local packet ring: new packets take slots from it
-          and consumed packets retire into it.  [None] (pooling off)
-          falls back to plain heap packets everywhere. *)
+          and consumed packets retire into it. *)
 }
 
 val now : t -> Units.Time.t
 val after : t -> Units.Time.t -> (unit -> unit) -> Mmt_sim.Engine.handle
 
 val packet : t -> ?padding:int -> bytes -> Mmt_sim.Packet.t
-(** Wrap a frame into a packet born now with a fresh identity — a ring
-    slot when the environment has a ring, a floating record
-    otherwise. *)
+(** Wrap a frame into a ring packet born now with a fresh identity;
+    the frame is recycled into the ring's pool at retirement. *)
 
 val packet_sized : t -> ?padding:int -> int -> Mmt_sim.Packet.t
 (** A packet born now whose frame is a pool buffer of exactly the
@@ -40,17 +38,13 @@ val packet_sized : t -> ?padding:int -> int -> Mmt_sim.Packet.t
 
 val retire : t -> Mmt_sim.Packet.t -> unit
 (** Declare the packet fully consumed: return its slot and frame to
-    the ring.  No-op without a ring.  The caller must be the packet's
-    last holder. *)
+    the ring.  The caller must be the packet's last holder. *)
 
-val pool : t -> Mmt_sim.Pool.t option
+val pool : t -> Mmt_sim.Pool.t
 (** The ring's embedded frame pool, for copy paths that recycle bare
     frames. *)
 
 val loopback :
-  ?local_ip:Addr.Ip.t ->
-  ?ring:Mmt_sim.Ring.t ->
-  Mmt_sim.Engine.t ->
-  t * Mmt_sim.Packet.t Queue.t
-(** Test helper: an environment whose [send] appends to the returned
-    queue regardless of destination. *)
+  ?local_ip:Addr.Ip.t -> Mmt_sim.Engine.t -> t * Mmt_sim.Packet.t Queue.t
+(** Test helper: an environment with a fresh ring whose [send] appends
+    to the returned queue regardless of destination. *)

@@ -47,8 +47,8 @@ type t = {
   propagation : Units.Time.t;
   loss : Loss.t;
   queue : Queue_model.t;
-  pool : Pool.t option;
-  ring : Ring.t option;
+  ring : Ring.t;
+  on_expired : Packet.t -> unit; (* preallocated: retires queue expiries *)
   observer : event -> Packet.t -> unit;
   deliver : Packet.t -> unit;
   boundary : int; (* cut-edge id, or -1 for an ordinary link *)
@@ -88,10 +88,7 @@ type t = {
 }
 
 (* The link was the packet's last holder: recycle the slot + frame. *)
-let retire t packet =
-  match t.ring with
-  | Some ring -> Ring.in_packet_done ring packet
-  | None -> Option.iter (fun pool -> Pool.release_packet pool packet) t.pool
+let retire t packet = Ring.in_packet_done t.ring packet
 
 let[@inline] observe link ev packet =
   if link.observer != no_observer then link.observer ev packet
@@ -174,7 +171,9 @@ let start_serializing t packet =
   ignore (Engine.schedule_after t.engine ~delay:serialization t.on_serialized)
 
 let transmit_next t =
-  let packet = Queue_model.poll t.queue ~now:(Engine.now t.engine) in
+  let packet =
+    Queue_model.poll t.queue ~now:(Engine.now t.engine) ~expired:t.on_expired
+  in
   if packet == Queue_model.empty then t.transmitting <- false
   else start_serializing t packet
 
@@ -217,7 +216,7 @@ let propagated t = deliver_now t (flight_pop t)
 
 let create ~engine ~name ~rate ~propagation ?(loss = Loss.perfect)
     ?(queue = Queue_model.droptail ~capacity:(Units.Size.mib 4) ())
-    ?pool ?ring ?(observer = no_observer) ?(boundary = -1) ~deliver () =
+    ~ring ?(observer = no_observer) ?(boundary = -1) ~deliver () =
   let t =
     {
       engine;
@@ -226,8 +225,8 @@ let create ~engine ~name ~rate ~propagation ?(loss = Loss.perfect)
       propagation;
       loss;
       queue;
-      pool;
       ring;
+      on_expired = Ring.in_packet_done ring;
       observer;
       deliver;
       boundary;

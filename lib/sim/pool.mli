@@ -1,22 +1,23 @@
 (** Size-classed frame pool.
 
     Simulation workloads allocate millions of short-lived frames
-    ([bytes]) that die at well-known points: loss drops and queue drops
-    inside {!Link}, expired-deadline drops inside {!Queue_model}, and
-    the copy sources of the in-network duplicator and the
-    retransmission buffer.  Recycling them through a pool keeps the
-    per-packet hot path off the minor heap.
+    ([bytes]) that die at well-known points: loss, queue and
+    expired-deadline drops inside {!Link}, and the copy sources of the
+    in-network duplicator and the retransmission buffer.  Recycling
+    them through a pool keeps the per-packet hot path off the minor
+    heap.
 
     Classes are keyed by exact frame length ([bytes] cannot be
     resized), each class a bounded stack, so [acquire]/[release] are
     O(1) and perform no allocation once a class is warm.
 
-    Pooling is opt-in: every integration point takes [?pool] and
-    behaves byte-identically without one.  {!release_packet} is the
-    generation-stamped safe path: it retires the packet's frame (the
-    packet is left holding the shared zero-length {!retired} sentinel
-    and its [gen] is bumped), so releasing twice is a no-op and a
-    recycled buffer can never be reached through the dead packet. *)
+    Each {!Ring} owns one pool as its frame allocator; copy paths that
+    recycle bare frames reach it through {!Ring.pool}.
+    {!release_packet} is the generation-stamped safe path: it retires
+    the packet's frame (the packet is left holding the shared
+    zero-length {!retired} sentinel and its [gen] is bumped), so
+    releasing twice is a no-op and a recycled buffer can never be
+    reached through the dead packet. *)
 
 type t
 

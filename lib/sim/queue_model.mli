@@ -9,13 +9,11 @@ open Mmt_util
 
 type t
 
-val droptail : ?pool:Pool.t -> ?ring:Ring.t -> capacity:Units.Size.t -> unit -> t
+val droptail : capacity:Units.Size.t -> unit -> t
 (** FIFO bounded by queued bytes; arrivals that would overflow are
     dropped. *)
 
 val deadline_aware :
-  ?pool:Pool.t ->
-  ?ring:Ring.t ->
   capacity:Units.Size.t ->
   drop_expired:bool ->
   deadline_of:(Packet.t -> Units.Time.t option) ->
@@ -24,9 +22,8 @@ val deadline_aware :
 (** Earliest-deadline-first; packets without a deadline are served
     after all deadline-bearing packets, among themselves in FIFO order.
     When [drop_expired], packets whose deadline already passed are
-    discarded at dequeue time instead of transmitted — and retired into
-    [ring] (or their frames recycled into [pool]) when one is given
-    (the queue is the last holder of an expired packet). *)
+    discarded at dequeue time instead of transmitted, and handed to the
+    dequeuer's [expired] callback, which becomes their last holder. *)
 
 val enqueue : t -> now:Units.Time.t -> Packet.t -> [ `Accepted | `Dropped ]
 
@@ -41,12 +38,15 @@ val empty : Packet.t
 (** The inert record {!poll} returns on an empty queue; compare
     physically ([==]).  Never a real packet. *)
 
-val poll : t -> now:Units.Time.t -> Packet.t
+val poll : t -> now:Units.Time.t -> expired:(Packet.t -> unit) -> Packet.t
 (** Allocation-free dequeue: the head packet, or {!empty} when the
-    queue has none.  The hot path ({!Link}) uses this — {!dequeue} is
+    queue has none.  Packets expired on the way (deadline-aware queues
+    with [drop_expired]) are passed to [expired] — {!Link} retires them
+    into its ring.  The hot path ({!Link}) uses this — {!dequeue} is
     the same operation behind an option. *)
 
-val dequeue : t -> now:Units.Time.t -> Packet.t option
+val dequeue :
+  t -> now:Units.Time.t -> expired:(Packet.t -> unit) -> Packet.t option
 val length : t -> int
 val queued_bytes : t -> Units.Size.t
 val overflow_drops : t -> int

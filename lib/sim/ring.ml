@@ -29,12 +29,11 @@ let fresh_slot i =
   p.Packet.slot <- i;
   p
 
-let create ?(slots = 1024) ?(max_slots = 1 lsl 16) ?pool () =
+let create ?(slots = 1024) ?(max_slots = 1 lsl 16) () =
   if slots < 1 then invalid_arg "Ring.create: slots < 1";
   let max_slots = max max_slots slots in
-  let pool = match pool with Some p -> p | None -> Pool.create () in
   {
-    pool;
+    pool = Pool.create ();
     max_slots;
     slots = Array.init slots fresh_slot;
     live = Array.make slots false;

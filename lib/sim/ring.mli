@@ -43,13 +43,14 @@ type stats = {
   detached : int;  (** Slot packets converted for shard crossing. *)
 }
 
-val create : ?slots:int -> ?max_slots:int -> ?pool:Pool.t -> unit -> t
+val create : ?slots:int -> ?max_slots:int -> unit -> t
 (** [create ()] preallocates [slots] packet records (default 1024) and
-    doubles on demand up to [max_slots] (default 65536).  [pool]
-    supplies/receives the frames (fresh private pool by default).
+    doubles on demand up to [max_slots] (default 65536), with a private
+    frame {!Pool}.
     @raise Invalid_argument if [slots < 1]. *)
 
 val pool : t -> Pool.t
+(** The ring's frame pool, for copy paths that recycle bare frames. *)
 
 val in_packet :
   t -> ?padding:int -> id:int -> born:Units.Time.t -> int -> Packet.t

@@ -156,18 +156,13 @@ let wire topo engines =
           (* Ring slots never cross domains: detach frees the source
              shard's slot and sends a floating record through the
              mailbox; the receiving shard retires it into its own
-             ring's pool (receiving-shard frame ownership, as with
-             plain pools). *)
-          let src_ring = Topology.ring_of_shard topo ssrc in
+             ring's pool (receiving-shard frame ownership). *)
+          let src_ring = Topology.node_ring topo src in
           Link.set_boundary_exit link
             (Some
                (fun ~at ~key packet ->
-                 let packet =
-                   match src_ring with
-                   | Some ring -> Ring.detach ring packet
-                   | None -> packet
-                 in
-                 Mailbox.push mailbox ~at:(Units.Time.to_ns at) ~key packet));
+                 Mailbox.push mailbox ~at:(Units.Time.to_ns at) ~key
+                   (Ring.detach src_ring packet)));
           let engine = engines.(sdst) in
           let inject ~at ~key packet =
             ignore
@@ -190,7 +185,7 @@ let wire topo engines =
     failed = None;
   }
 
-let build ~shards ?pool ?(pooling = true) ?fusing:_ build_fn =
+let build ~shards ?pooling:_ ?fusing:_ build_fn =
   (* Two-pass construction: build once on a throwaway engine to learn
      the graph, partition it, then rebuild for real on per-shard
      engines.  Sharing [build_fn] between the passes (and between the
@@ -198,19 +193,14 @@ let build ~shards ?pool ?(pooling = true) ?fusing:_ build_fn =
      both modes construct the identical topology — same nodes, links,
      and cut-edge ids in the same order. *)
   let sequential () =
-    let engine = Engine.create () in
-    let topo =
-      Topology.create ~engine
-        ?pool:(Option.map (fun f -> f ()) pool)
-        ~pooling ()
-    in
+    let topo = Topology.create ~engine:(Engine.create ()) () in
     let result = build_fn topo in
     (topo, result, None)
   in
   if shards < 2 then sequential ()
   else begin
-    (* The probe topology is thrown away unrun: no rings or pools. *)
-    let probe = Topology.create ~engine:(Engine.create ()) ~pooling:false () in
+    (* The probe topology is thrown away unrun. *)
+    let probe = Topology.create ~engine:(Engine.create ()) () in
     ignore (build_fn probe);
     let comp_by_name, ncomp = component_map probe in
     if ncomp < 2 then sequential ()
@@ -218,12 +208,7 @@ let build ~shards ?pool ?(pooling = true) ?fusing:_ build_fn =
       let nshards = Stdlib.min shards ncomp in
       let assign name = Hashtbl.find comp_by_name name mod nshards in
       let engines = Array.init nshards (fun _ -> Engine.create ()) in
-      let pools =
-        Option.map (fun f -> Array.init nshards (fun _ -> f ())) pool
-      in
-      let topo =
-        Topology.create_sharded ~engines ~assign ?pools ~pooling ()
-      in
+      let topo = Topology.create_sharded ~engines ~assign () in
       let result = build_fn topo in
       (topo, result, Some (wire topo engines))
     end
@@ -244,28 +229,7 @@ let fail t shard exn bt =
   if t.failed = None then t.failed <- Some (shard, exn, bt);
   Mutex.unlock t.barrier.mutex
 
-type gc_tuning = { minor_heap_kb : int option; space_overhead : int option }
-
-let default_gc = { minor_heap_kb = None; space_overhead = None }
-
-let apply_gc g =
-  match (g.minor_heap_kb, g.space_overhead) with
-  | None, None -> ()
-  | minor, overhead ->
-      let params = Gc.get () in
-      let minor_heap_size =
-        match minor with
-        | Some kb when kb > 0 -> kb * 1024 / (Sys.word_size / 8)
-        | _ -> params.Gc.minor_heap_size
-      in
-      let space_overhead =
-        match overhead with
-        | Some pct when pct > 0 -> pct
-        | _ -> params.Gc.space_overhead
-      in
-      Gc.set { params with Gc.minor_heap_size; space_overhead }
-
-let run ?until ?(gc = default_gc) t =
+let run ?until t =
   t.until_ns <-
     (match until with None -> max_int | Some u -> Units.Time.to_ns u);
   t.finished <- false;
@@ -319,24 +283,10 @@ let run ?until ?(gc = default_gc) t =
   let crew =
     Array.init
       (Array.length t.engines - 1)
-      (fun i ->
-        Domain.spawn (fun () ->
-            (* Spawned domains die with the run; no restore needed. *)
-            apply_gc gc;
-            worker (i + 1)))
+      (fun i -> Domain.spawn (fun () -> worker (i + 1)))
   in
-  (* Domain 0 is the caller's: save and restore its GC parameters. *)
-  let saved =
-    if gc.minor_heap_kb <> None || gc.space_overhead <> None then
-      Some (Gc.get ())
-    else None
-  in
-  apply_gc gc;
-  Fun.protect
-    ~finally:(fun () -> Option.iter Gc.set saved)
-    (fun () ->
-      worker 0;
-      Array.iter Domain.join crew);
+  worker 0;
+  Array.iter Domain.join crew;
   match t.failed with
   | Some (_, exn, bt) -> Printexc.raise_with_backtrace exn bt
   | None -> ()

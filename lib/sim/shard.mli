@@ -28,7 +28,6 @@ type t
 
 val build :
   shards:int ->
-  ?pool:(unit -> Pool.t) ->
   ?pooling:bool ->
   ?fusing:bool ->
   (Topology.t -> 'a) ->
@@ -38,44 +37,27 @@ val build :
     self-contained: it creates nodes and links through the topology it
     is given, attaches components to {!Topology.node_engine} of each
     node, and returns whatever handles the caller needs to read
-    results later.  Pooling is on by default: every shard owns a
-    packet {!Ring} (see {!Topology.create}); [pooling:false] opts out.
-    [pool], when given, is a factory invoked once per shard so every
-    domain recycles frames through its own pool — frames that cross a
-    shard mailbox are detached from the source ring and later retired
-    into the {e receiving} shard's pool, never the sender's.
-    [fusing] is accepted and ignored, for callers written against the
-    removed fused-hop option.
+    results later.  Every shard owns a packet {!Ring}
+    ({!Topology.node_ring}); frames that cross a shard mailbox are
+    detached from the source ring and later retired into the
+    {e receiving} shard's pool, never the sender's.  [pooling] and
+    [fusing] are accepted and ignored, for callers written against the
+    removed allocator and fused-hop options.
 
     Returns [(topo, result, runner)]; [runner] is [None] when the run
     fell back to sequential (fewer than two cut components, or
     [shards < 2]), in which case the caller drives
     [Topology.engine topo] directly as always. *)
 
-type gc_tuning = {
-  minor_heap_kb : int option;  (** Per-domain minor heap size, in KiB. *)
-  space_overhead : int option;  (** Major-GC [space_overhead] percent. *)
-}
-(** GC parameters applied to every domain of a sharded run ([None]
-    fields keep the runtime default).  A bigger minor heap amortizes
-    OCaml 5's stop-the-world minor collections across windows — the
-    dominant sharding overhead on few-core boxes. *)
-
-val default_gc : gc_tuning
-(** All fields [None]: leave the runtime configuration alone. *)
-
-val apply_gc : gc_tuning -> unit
-(** Apply the tuning to the calling domain (used by sequential runners
-    that want the same parameters as a sharded run would get). *)
-
-val run : ?until:Units.Time.t -> ?gc:gc_tuning -> t -> unit
+val run : ?until:Units.Time.t -> t -> unit
 (** Execute all shards to quiescence (or to [until]), spawning one
     domain per shard beyond the caller's.  Matches
     {!Engine.run}'s clock-clamp semantics: with [until] every shard's
     clock ends at [until] exactly as a sequential run's would.
     Without [until], use {!last_event_at} rather than {!Engine.now}
     for end-of-run timestamps — window caps advance each engine's
-    clock past its last event.
+    clock past its last event.  Spawned domains take the runtime's GC
+    parameters ([OCAMLRUNPARAM=s=…,o=…]).
 
     If a shard raises, the remaining shards finish their window, the
     run shuts down at the next barrier, and the exception is re-raised

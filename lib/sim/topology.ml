@@ -4,8 +4,7 @@ type t = {
   engines : Engine.t array;
   assign : (string -> int) option; (* node name -> shard; None = all on 0 *)
   trace : Trace.t option;
-  pools : Pool.t option array; (* per shard, same length as [engines] *)
-  rings : Ring.t option array; (* per shard, same length as [engines] *)
+  rings : Ring.t array; (* per shard, same length as [engines] *)
   next_ids : int array; (* per-shard packet-id counters *)
   node_by_name : (string, Node.t) Hashtbl.t;
   shard_by_name : (string, int) Hashtbl.t;
@@ -15,13 +14,14 @@ type t = {
   mutable next_boundary : int;
 }
 
-let make ~engines ~assign ~trace ~pools ~rings =
+(* Every shard owns a packet ring: its slots and its embedded frame
+   pool are touched only by the domain running that shard. *)
+let make ~engines ~assign ~trace =
   {
     engines;
     assign;
     trace;
-    pools;
-    rings;
+    rings = Array.map (fun _ -> Ring.create ()) engines;
     next_ids = Array.make (Array.length engines) 0;
     node_by_name = Hashtbl.create 16;
     shard_by_name = Hashtbl.create 16;
@@ -31,56 +31,18 @@ let make ~engines ~assign ~trace ~pools ~rings =
     next_boundary = 0;
   }
 
-(* Pooling is the default: unless the caller opts out (or supplied its
-   own ring), every shard gets a packet ring whose embedded pool also
-   serves the copy paths that only want frames. *)
-let ring_for ~pooling ~ring ~pool =
-  match ring with
-  | Some _ -> ring
-  | None -> if pooling then Some (Ring.create ?pool ()) else None
+let create ~engine ?trace () = make ~engines:[| engine |] ~assign:None ~trace
 
-let pool_behind ~ring ~pool =
-  match ring with Some r -> Some (Ring.pool r) | None -> pool
-
-let create ~engine ?trace ?pool ?ring ?(pooling = true) () =
-  let ring = ring_for ~pooling ~ring ~pool in
-  let pool = pool_behind ~ring ~pool in
-  make ~engines:[| engine |] ~assign:None ~trace ~pools:[| pool |]
-    ~rings:[| ring |]
-
-let create_sharded ~engines ~assign ?pools ?rings ?(pooling = true) () =
+let create_sharded ~engines ~assign () =
   if Array.length engines = 0 then
     invalid_arg "Topology.create_sharded: no engines";
-  let n = Array.length engines in
-  let pools =
-    match pools with
-    | Some pools ->
-        if Array.length pools <> n then
-          invalid_arg "Topology.create_sharded: one pool per engine required";
-        Array.map Option.some pools
-    | None -> Array.make n None
-  in
-  let rings =
-    match rings with
-    | Some rings ->
-        if Array.length rings <> n then
-          invalid_arg "Topology.create_sharded: one ring per engine required";
-        Array.map Option.some rings
-    | None ->
-        Array.init n (fun i -> ring_for ~pooling ~ring:None ~pool:pools.(i))
-  in
-  let pools =
-    Array.init n (fun i -> pool_behind ~ring:rings.(i) ~pool:pools.(i))
-  in
-  make ~engines ~assign:(Some assign) ~trace:None ~pools ~rings
+  make ~engines ~assign:(Some assign) ~trace:None
 
 let engine t = t.engines.(0)
 let nshards t = Array.length t.engines
 let trace t = t.trace
-let pool t = t.pools.(0)
-let pool_of_shard t shard = t.pools.(shard)
 let ring t = t.rings.(0)
-let ring_of_shard t shard = t.rings.(shard)
+let ring_of_shard t shard = Some t.rings.(shard)
 
 let shard_of_node t node =
   match t.assign with
@@ -88,6 +50,7 @@ let shard_of_node t node =
   | Some _ -> Hashtbl.find t.shard_by_name (Node.name node)
 
 let node_engine t node = t.engines.(shard_of_node t node)
+let node_ring t node = t.rings.(shard_of_node t node)
 
 (* Packet ids are unique across shards by construction — shard [s]
    draws from the residue class [s mod nshards] — and each counter is
@@ -152,7 +115,7 @@ let connect t ~src ~dst ~rate ~propagation ?loss ?queue () =
   in
   let link =
     Link.create ~engine ~name ~rate ~propagation ?loss ?queue
-      ?pool:t.pools.(shard) ?ring:t.rings.(shard) ?observer ~boundary
+      ~ring:t.rings.(shard) ?observer ~boundary
       ~deliver:(Node.handle dst) ()
   in
   t.link_order <- link :: t.link_order;

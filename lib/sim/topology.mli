@@ -19,39 +19,19 @@ open Mmt_util
 
 type t
 
-val create :
-  engine:Engine.t ->
-  ?trace:Trace.t ->
-  ?pool:Pool.t ->
-  ?ring:Ring.t ->
-  ?pooling:bool ->
-  unit ->
-  t
-(** When [trace] is given, every link created through this topology
-    records its packet events into it.  Pooling is on by default:
-    unless [pooling:false], the topology owns a packet {!Ring} (either
-    [ring] or a fresh one wrapping [pool] when given) and every link
-    retires the packets it drops into it; {!pool} then exposes the
-    ring's embedded frame pool for copy paths.  [pooling:false]
-    restores the legacy behaviour: no ring, and frames recycle only
-    when an explicit [pool] was given. *)
+val create : engine:Engine.t -> ?trace:Trace.t -> unit -> t
+(** A single-engine topology with one packet {!Ring}.  When [trace] is
+    given, every link created through this topology records its packet
+    events into it. *)
 
 val create_sharded :
-  engines:Engine.t array ->
-  assign:(string -> int) ->
-  ?pools:Pool.t array ->
-  ?rings:Ring.t array ->
-  ?pooling:bool ->
-  unit ->
-  t
+  engines:Engine.t array -> assign:(string -> int) -> unit -> t
 (** A topology spread over one engine per shard.  [assign] maps a node
     name to its shard (consulted once, at {!add_node}).  Each shard
-    gets its own packet ring (default) or pool, so no allocation state
-    is shared between domains — slots must never cross a shard
-    boundary ({!Ring.detach}).  Tracing is unavailable in sharded
-    mode.
-    @raise Invalid_argument if [engines] is empty or [pools]/[rings]
-    has a different length. *)
+    gets its own packet ring, so no allocation state is shared between
+    domains — slots must never cross a shard boundary
+    ({!Ring.detach}).  Tracing is unavailable in sharded mode.
+    @raise Invalid_argument if [engines] is empty. *)
 
 val engine : t -> Engine.t
 (** Shard 0's engine — the only engine of a {!create}d topology. *)
@@ -64,17 +44,18 @@ val node_engine : t -> Node.t -> Engine.t
 
 val shard_of_node : t -> Node.t -> int
 
+val node_ring : t -> Node.t -> Ring.t
+(** The packet ring of the shard [node] lives on: components attached
+    to [node] allocate from and retire into it. *)
+
 val trace : t -> Trace.t option
-val pool : t -> Pool.t option
-(** Shard 0's frame pool, if any (a ring's embedded pool when the
-    topology owns a ring). *)
 
-val pool_of_shard : t -> int -> Pool.t option
-
-val ring : t -> Ring.t option
-(** Shard 0's packet ring, if any. *)
+val ring : t -> Ring.t
+(** Shard 0's packet ring — the only ring of a {!create}d topology. *)
 
 val ring_of_shard : t -> int -> Ring.t option
+(** The ring of shard [shard]; always [Some].  The option is kept for
+    callers written when rings were optional. *)
 
 val fresh_packet_id : t -> int
 (** Unique (per topology) packet identity, drawn from shard 0's

@@ -133,23 +133,27 @@ let test_run_sharded_identical () =
         sh.Scenario.events)
     [ 2; 3; 4 ]
 
-let test_run_pooling_identical () =
-  (* Pools on by default vs. explicitly off, sequentially and sharded:
-     the allocator must never show through in the results. *)
+(* Digest of [(summary, samples, events)] for the 23-flow run under the
+   plain-GC allocator (sequential and 3 shards gave the same value),
+   recorded before that mode was removed. *)
+let plain_gc_reference = "d17c87a3115dc57f88b720925153b422"
+
+let test_run_matches_plain_gc () =
+  (* Ring recycling, sequentially and sharded, against the recorded
+     non-recycled run: the allocator must never show through in the
+     results. *)
   let config = { small with Scenario.flows = 23 } in
-  let pooled = Scenario.run config in
-  let plain = Scenario.run ~pooling:false config in
-  Alcotest.(check bool) "summaries equal" true
-    (pooled.Scenario.summary = plain.Scenario.summary);
-  Alcotest.(check bool) "per-flow samples equal" true
-    (pooled.Scenario.samples = plain.Scenario.samples);
-  Alcotest.(check int) "event counts equal" pooled.Scenario.events
-    plain.Scenario.events;
-  let sharded_plain = Scenario.run ~shards:3 ~pooling:false config in
-  Alcotest.(check bool) "sharded pool-off matches too" true
-    (pooled.Scenario.summary = sharded_plain.Scenario.summary
-    && pooled.Scenario.samples = sharded_plain.Scenario.samples
-    && pooled.Scenario.events = sharded_plain.Scenario.events)
+  let digest (r : Scenario.result) =
+    Digest.to_hex
+      (Digest.string
+         (Marshal.to_string
+            (r.Scenario.summary, r.samples, r.events)
+            [ Marshal.No_sharing ]))
+  in
+  Alcotest.(check string) "sequential matches the plain-GC run"
+    plain_gc_reference (digest (Scenario.run config));
+  Alcotest.(check string) "sharded matches the plain-GC run"
+    plain_gc_reference (digest (Scenario.run ~shards:3 config))
 
 let test_run_sharded_identical_at_scale () =
   (* The interesting failure mode is congestion, where same-instant
@@ -172,20 +176,6 @@ let test_run_sharded_identical_at_scale () =
     (seq.Scenario.samples = sharded.Scenario.samples);
   Alcotest.(check int) "event counts equal" seq.Scenario.events
     sharded.Scenario.events
-
-let test_run_gc_tuning_identical () =
-  (* Per-domain GC tuning shifts collection points, never results. *)
-  let config = { small with Scenario.flows = 23 } in
-  let default = Scenario.run config in
-  let tuned =
-    Scenario.run
-      ~gc:{ Mmt_sim.Shard.minor_heap_kb = Some 8192; space_overhead = Some 200 }
-      config
-  in
-  Alcotest.(check bool) "summaries equal" true
-    (default.Scenario.summary = tuned.Scenario.summary);
-  Alcotest.(check bool) "samples equal" true
-    (default.Scenario.samples = tuned.Scenario.samples)
 
 let test_sweep_sharded_identical () =
   let base = { Scenario.default with Scenario.duration = Units.Time.ms 1. } in
@@ -225,9 +215,7 @@ let suite =
     Alcotest.test_case "sweep: sequential vs sharded identical" `Quick
       test_sweep_sharded_identical;
     Alcotest.test_case "run: pool-on/off byte-identical" `Quick
-      test_run_pooling_identical;
+      test_run_matches_plain_gc;
     Alcotest.test_case "run: sequential = sharded at E-F5 scale" `Slow
       test_run_sharded_identical_at_scale;
-    Alcotest.test_case "run: gc tuning changes nothing" `Quick
-      test_run_gc_tuning_identical;
   ]

@@ -64,6 +64,7 @@ let test_injector_link_flap () =
   let delivered = ref 0 in
   let link =
     Sim.Link.create ~engine ~name:"l" ~rate:Units.Rate.zero
+      ~ring:(Sim.Ring.create ())
       ~propagation:(us 1.)
       ~deliver:(fun _ -> incr delivered)
       ()
@@ -96,6 +97,7 @@ let test_injector_degrade_restore () =
   let original = Units.Rate.gbps 1. in
   let link =
     Sim.Link.create ~engine ~name:"l" ~rate:original
+      ~ring:(Sim.Ring.create ())
       ~propagation:Units.Time.zero
       ~deliver:(fun _ -> ())
       ()
@@ -184,6 +186,7 @@ let corrupt_run ~seed n =
   let arrivals = Buffer.create (n * 16) in
   let link =
     Sim.Link.create ~engine ~name:"l" ~rate:Units.Rate.zero
+      ~ring:(Sim.Ring.create ())
       ~propagation:(us 1.)
       ~deliver:(fun p ->
         let frame = Sim.Packet.frame p in
@@ -352,10 +355,15 @@ let test_chaos_empty_plan_is_faultless () =
   Alcotest.(check (list string)) "no violations" [] outcome.C.violations;
   Alcotest.(check int) "all delivered" 800 outcome.C.delivered
 
-let test_chaos_pooling_byte_identical () =
+(* Digest of the outcome below under the plain-GC allocator, recorded
+   before that mode was removed. *)
+let chaos_plain_gc_reference = "9c737a1df8527aabb7206b48b4a5a1e4"
+
+let test_chaos_matches_plain_gc () =
   (* Packet rings change the allocator, never the bytes: the same
      fault plan — element death, wire tampering, random loss — must
-     produce a field-for-field identical outcome with pooling off. *)
+     produce a field-for-field identical outcome to the recorded
+     non-recycled run. *)
   let p =
     C.params ~fragment_count:1200
       ~plan:
@@ -372,12 +380,13 @@ let test_chaos_pooling_byte_identical () =
            ])
       ()
   in
-  let pooled = C.run p in
-  let plain = C.run ~pooling:false p in
-  Alcotest.(check (list string)) "no invariant violations (pooled)" []
-    pooled.C.violations;
-  Alcotest.(check bool) "outcomes identical with pools on and off" true
-    (pooled = plain)
+  let outcome = C.run p in
+  Alcotest.(check (list string)) "no invariant violations" []
+    outcome.C.violations;
+  Alcotest.(check string) "outcome identical to the plain-GC run"
+    chaos_plain_gc_reference
+    (Digest.to_hex
+       (Digest.string (Marshal.to_string outcome [ Marshal.No_sharing ])))
 
 (* Fault hooks firing mid-hop ---------------------------------------------- *)
 
@@ -396,6 +405,7 @@ let test_fault_hooks_mid_hop () =
   let delivered = ref 0 in
   let link =
     Sim.Link.create ~engine ~name:"l" ~rate:(Units.Rate.gbps 0.8)
+      ~ring:(Sim.Ring.create ())
       ~propagation:(us 20.)
       ~deliver:(fun _ -> incr delivered)
       ()
@@ -478,7 +488,7 @@ let suite =
     Alcotest.test_case "chaos empty plan is faultless" `Quick
       test_chaos_empty_plan_is_faultless;
     Alcotest.test_case "chaos pool-on/off byte-identical" `Slow
-      test_chaos_pooling_byte_identical;
+      test_chaos_matches_plain_gc;
     Alcotest.test_case "fault hooks land mid-hop" `Quick
       test_fault_hooks_mid_hop;
     Alcotest.test_case "E-R1 deterministic across domains" `Slow

@@ -200,11 +200,12 @@ let test_star_quiescence () =
     (Units.Time.equal fin_seq fin_par)
 
 (* Frames that cross a shard mailbox must not be recycled through the
-   sending shard's pool: each shard owns a pool, receivers release
-   into their own side, and a crossed frame's bytes must still be
-   intact when delivered.  (Regression for the release-at-boundary
-   hazard: a sender-side release would retire the frame while it sits
-   in the mailbox.) *)
+   sending shard's pool: each shard's ring owns a pool, the mailbox
+   carries a detached floating record, receivers retire into their own
+   shard's ring, and a crossed frame's bytes must still be intact when
+   delivered.  (Regression for the release-at-boundary hazard: a
+   sender-side release would retire the frame while it sits in the
+   mailbox.) *)
 let test_pool_boundary_crossing () =
   let build topo =
     let a = Topology.add_node topo ~name:"a" in
@@ -215,46 +216,46 @@ let test_pool_boundary_crossing () =
     in
     let delivered = ref 0 in
     let intact = ref true in
+    let ring_b = Topology.node_ring topo b in
     Node.set_handler b (fun p ->
         let frame = Packet.frame p in
         if Bytes.length frame <> 256 then intact := false
         else if Bytes.get frame 17 <> 'x' then intact := false;
         incr delivered;
-        (* Receiver done with the frame: release into *its* pool. *)
-        match Topology.pool_of_shard topo (Topology.shard_of_node topo b) with
-        | Some pool -> Pool.release_packet pool p
-        | None -> ());
+        (* Receiver done with the packet: retire into *its* ring. *)
+        Ring.in_packet_done ring_b p);
     let engine = Topology.node_engine topo a in
     let ids = Topology.id_source topo a in
-    let pool_a () =
-      Option.get (Topology.pool_of_shard topo (Topology.shard_of_node topo a))
-    in
+    let ring_a = Topology.node_ring topo a in
     for k = 0 to 99 do
       ignore
         (Engine.schedule engine
            ~at:(Units.Time.us (float_of_int (k * 10)))
            (fun () ->
-             let frame = Pool.acquire (pool_a ()) 256 in
-             Bytes.fill frame 0 256 'x';
              let p =
-               Packet.create ~id:(ids ()) ~born:(Engine.now engine) frame
+               Ring.in_packet ring_a ~id:(ids ()) ~born:(Engine.now engine) 256
              in
+             Bytes.fill (Packet.frame p) 0 256 'x';
              Link.send ab p))
     done;
     (delivered, intact)
   in
-  let topo, (delivered, intact), runner =
-    Shard.build ~shards:2 ~pool:(fun () -> Pool.create ()) build
-  in
+  let topo, (delivered, intact), runner = Shard.build ~shards:2 build in
   let r = Option.get runner in
   Shard.run r;
   Alcotest.(check int) "all packets delivered" 100 !delivered;
   Alcotest.(check bool) "frames intact after crossing" true !intact;
-  let stats shard = Pool.stats (Option.get (Topology.pool_of_shard topo shard)) in
+  let stats shard =
+    Pool.stats (Ring.pool (Option.get (Topology.ring_of_shard topo shard)))
+  in
   let a = stats 0 and b = stats 1 in
   Alcotest.(check int) "sender pool acquired all frames" 100 a.Pool.acquired;
   Alcotest.(check int) "sender pool got no releases" 0 a.Pool.released;
-  Alcotest.(check int) "receiver pool got all releases" 100 b.Pool.released
+  Alcotest.(check int) "receiver pool got all releases" 100 b.Pool.released;
+  let ring shard = Ring.stats (Option.get (Topology.ring_of_shard topo shard)) in
+  Alcotest.(check int) "sender slots all detached" 100 (ring 0).Ring.detached;
+  Alcotest.(check int) "no slot left in use" 0
+    ((ring 0).Ring.in_use + (ring 1).Ring.in_use)
 
 (* Random island topologies with random fault toggles: the strongest
    form of the determinism contract.  Fault plans flip link state at

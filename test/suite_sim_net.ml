@@ -15,7 +15,7 @@ let test_droptail_fifo_order () =
       (Sim.Queue_model.enqueue q ~now (mk_packet ~id:i 100) = `Accepted)
   done;
   let order = List.init 10 (fun _ ->
-      match Sim.Queue_model.dequeue q ~now with
+      match Sim.Queue_model.dequeue q ~now ~expired:ignore with
       | Some p -> p.Sim.Packet.id
       | None -> -1)
   in
@@ -50,7 +50,7 @@ let test_edf_orders_by_deadline () =
   let now = Units.Time.zero in
   List.iter (fun i -> ignore (Sim.Queue_model.enqueue q ~now (mk_packet ~id:i 10))) [ 0; 1; 2 ];
   let order = List.init 3 (fun _ ->
-      match Sim.Queue_model.dequeue q ~now with Some p -> p.Sim.Packet.id | None -> -1)
+      match Sim.Queue_model.dequeue q ~now ~expired:ignore with Some p -> p.Sim.Packet.id | None -> -1)
   in
   Alcotest.(check (list int)) "earliest deadline first" [ 1; 2; 0 ] order
 
@@ -60,7 +60,7 @@ let test_edf_deadline_free_after_deadlines () =
   let now = Units.Time.zero in
   List.iter (fun i -> ignore (Sim.Queue_model.enqueue q ~now (mk_packet ~id:i 10))) [ 0; 1; 2 ];
   let order = List.init 3 (fun _ ->
-      match Sim.Queue_model.dequeue q ~now with Some p -> p.Sim.Packet.id | None -> -1)
+      match Sim.Queue_model.dequeue q ~now ~expired:ignore with Some p -> p.Sim.Packet.id | None -> -1)
   in
   Alcotest.(check (list int)) "deadline-bearing first, then fifo" [ 1; 0; 2 ] order
 
@@ -74,7 +74,7 @@ let test_edf_drop_expired () =
   List.iter
     (fun i -> ignore (Sim.Queue_model.enqueue q ~now:Units.Time.zero (mk_packet ~id:i 10)))
     [ 0; 1 ];
-  (match Sim.Queue_model.dequeue q ~now:(Units.Time.ms 5.) with
+  (match Sim.Queue_model.dequeue q ~now:(Units.Time.ms 5.) ~expired:ignore with
   | Some p -> Alcotest.(check int) "expired dropped, live served" 1 p.Sim.Packet.id
   | None -> Alcotest.fail "expected a packet");
   Alcotest.(check int) "expired counted" 1 (Sim.Queue_model.expired_drops q)
@@ -90,10 +90,10 @@ let test_edf_heap_stress () =
   in
   for i = 0 to 999 do
     ignore (Sim.Queue_model.enqueue q ~now:Units.Time.zero (mk_packet ~id:i 10));
-    if Rng.bool rng then ignore (Sim.Queue_model.dequeue q ~now:Units.Time.zero)
+    if Rng.bool rng then ignore (Sim.Queue_model.dequeue q ~now:Units.Time.zero ~expired:ignore)
   done;
   let rec drain last =
-    match Sim.Queue_model.dequeue q ~now:Units.Time.zero with
+    match Sim.Queue_model.dequeue q ~now:Units.Time.zero ~expired:ignore with
     | None -> ()
     | Some p ->
         let d = (p.Sim.Packet.id * 7919) mod 104729 in
@@ -132,7 +132,7 @@ let test_edf_expired_cascade_byte_accounting () =
     (Units.Size.to_bytes (Sim.Queue_model.queued_bytes q));
   (* At t=10ms packets 0-3 are expired: one dequeue call cascades over
      all four and serves the live one. *)
-  (match Sim.Queue_model.dequeue q ~now:(Units.Time.ms 10.) with
+  (match Sim.Queue_model.dequeue q ~now:(Units.Time.ms 10.) ~expired:ignore with
   | Some p -> Alcotest.(check int) "live packet served" 4 p.Sim.Packet.id
   | None -> Alcotest.fail "expected the unexpired packet");
   Alcotest.(check int) "cascade counted" 4 (Sim.Queue_model.expired_drops q);
@@ -147,7 +147,7 @@ let test_edf_expired_cascade_byte_accounting () =
 let test_edf_expired_cascade_recycles_into_pool () =
   let pool = Sim.Pool.create () in
   let q =
-    Sim.Queue_model.deadline_aware ~pool ~capacity:(Units.Size.kib 64)
+    Sim.Queue_model.deadline_aware ~capacity:(Units.Size.kib 64)
       ~drop_expired:true
       ~deadline_of:(fun _ -> Some (Units.Time.us 1.))
       ()
@@ -157,7 +157,9 @@ let test_edf_expired_cascade_recycles_into_pool () =
   done;
   Alcotest.(check bool)
     "all expired: nothing to serve" true
-    (Sim.Queue_model.dequeue q ~now:(Units.Time.ms 1.) = None);
+    (Sim.Queue_model.dequeue q ~now:(Units.Time.ms 1.)
+       ~expired:(Sim.Pool.release_packet pool)
+    = None);
   let stats = Sim.Pool.stats pool in
   Alcotest.(check int) "all ten frames recycled" 10 stats.Sim.Pool.released
 
@@ -172,7 +174,7 @@ let test_queue_capacity_reusable_after_overflow () =
   (* The overflow drop must not corrupt the byte count ... *)
   Alcotest.(check int) "bytes unchanged by overflow" 200
     (Units.Size.to_bytes (Sim.Queue_model.queued_bytes q));
-  ignore (Sim.Queue_model.dequeue q ~now);
+  ignore (Sim.Queue_model.dequeue q ~now ~expired:ignore);
   (* ... and after draining, the full capacity is available again. *)
   Alcotest.(check int) "empty" 0
     (Units.Size.to_bytes (Sim.Queue_model.queued_bytes q));
@@ -268,6 +270,7 @@ let test_link_delivers_with_latency () =
   let arrivals = ref [] in
   let link =
     Sim.Link.create ~engine ~name:"l" ~rate:(Units.Rate.gbps 1.)
+      ~ring:(Sim.Ring.create ())
       ~propagation:(Units.Time.us 100.)
       ~deliver:(fun p -> arrivals := (Sim.Engine.now engine, p) :: !arrivals)
       ()
@@ -287,6 +290,7 @@ let test_link_serializes_back_to_back () =
   let arrivals = ref [] in
   let link =
     Sim.Link.create ~engine ~name:"l" ~rate:(Units.Rate.gbps 1.)
+      ~ring:(Sim.Ring.create ())
       ~propagation:Units.Time.zero
       ~deliver:(fun _ -> arrivals := Sim.Engine.now engine :: !arrivals)
       ()
@@ -303,6 +307,7 @@ let test_link_zero_rate_is_ideal () =
   let arrived = ref Units.Time.zero in
   let link =
     Sim.Link.create ~engine ~name:"ideal" ~rate:Units.Rate.zero
+      ~ring:(Sim.Ring.create ())
       ~propagation:(Units.Time.ms 1.)
       ~deliver:(fun _ -> arrived := Sim.Engine.now engine)
       ()
@@ -317,6 +322,7 @@ let test_link_loss_accounting () =
   let rng = Rng.create ~seed:5L in
   let link =
     Sim.Link.create ~engine ~name:"lossy" ~rate:(Units.Rate.gbps 10.)
+      ~ring:(Sim.Ring.create ())
       ~propagation:Units.Time.zero
       ~loss:(Sim.Loss.bernoulli ~drop:0.2 ~corrupt:0.1 ~rng)
       ~deliver:(fun p ->
@@ -345,6 +351,7 @@ let test_link_queue_overflow_accounting () =
   let engine = Sim.Engine.create () in
   let link =
     Sim.Link.create ~engine ~name:"tiny" ~rate:(Units.Rate.mbps 1.)
+      ~ring:(Sim.Ring.create ())
       ~propagation:Units.Time.zero
       ~queue:(Sim.Queue_model.droptail ~capacity:(Units.Size.bytes 500) ())
       ~deliver:ignore ()
@@ -363,6 +370,7 @@ let test_link_utilization () =
   let engine = Sim.Engine.create () in
   let link =
     Sim.Link.create ~engine ~name:"u" ~rate:(Units.Rate.gbps 1.)
+      ~ring:(Sim.Ring.create ())
       ~propagation:Units.Time.zero ~deliver:ignore ()
   in
   (* 10 packets x 10 us = 100 us busy. *)
@@ -408,6 +416,40 @@ let test_topology_delivery_to_handler () =
   Sim.Engine.run engine;
   Alcotest.(check int) "handler invoked" 1 !got;
   Alcotest.(check int) "received counted" 1 (Sim.Node.received b)
+
+(* A drop-expired EDF queue handed to [Topology.connect ~queue] expires
+   packets inside the link's transmit loop; the link must retire them
+   into the topology's ring.  (Regression: a queue built without its
+   own ring reference leaked every expired slot.) *)
+let test_topology_edf_expiry_retires_into_ring () =
+  let engine = Sim.Engine.create () in
+  let topo = Sim.Topology.create ~engine () in
+  let ring = Option.get (Sim.Topology.ring_of_shard topo 0) in
+  let a = Sim.Topology.add_node topo ~name:"a" in
+  let b = Sim.Topology.add_node topo ~name:"b" in
+  let queue =
+    Sim.Queue_model.deadline_aware ~capacity:(Units.Size.mib 1)
+      ~drop_expired:true
+      ~deadline_of:(fun _ -> Some (Units.Time.ns 1))
+      ()
+  in
+  let link =
+    Sim.Topology.connect topo ~src:a ~dst:b ~rate:(Units.Rate.gbps 1.)
+      ~propagation:(Units.Time.us 1.) ~queue ()
+  in
+  Sim.Node.set_handler b (Sim.Ring.in_packet_done ring);
+  (* The first packet is served at once; the other 99 are still queued
+     when their 1 ns deadline passes. *)
+  for i = 0 to 99 do
+    Sim.Link.send link (Sim.Ring.in_packet ring ~id:i ~born:Units.Time.zero 1_000)
+  done;
+  Sim.Engine.run engine;
+  Alcotest.(check int) "99 expired in the queue" 99
+    (Sim.Queue_model.expired_drops queue);
+  let stats = Sim.Ring.stats ring in
+  Alcotest.(check int) "no slot in use after quiescence" 0 stats.Sim.Ring.in_use;
+  Alcotest.(check int) "every acquire retired" stats.Sim.Ring.acquired
+    stats.Sim.Ring.retired
 
 let test_topology_fresh_ids () =
   let engine = Sim.Engine.create () in
@@ -493,6 +535,8 @@ let suite =
     Alcotest.test_case "link utilization" `Quick test_link_utilization;
     Alcotest.test_case "topology nodes/links" `Quick test_topology_nodes_and_links;
     Alcotest.test_case "topology delivery" `Quick test_topology_delivery_to_handler;
+    Alcotest.test_case "topology edf expiry retires into ring" `Quick
+      test_topology_edf_expiry_retires_into_ring;
     Alcotest.test_case "topology fresh ids" `Quick test_topology_fresh_ids;
     Alcotest.test_case "trace capacity eviction" `Quick
       test_trace_capacity_evicts_oldest;

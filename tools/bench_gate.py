@@ -23,10 +23,10 @@ The ring-buffer packet path (PR 8) adds two more families of checks:
 - `pilot_audit`: over the E-F4 pilot window the per-shard ring must
   recycle what it acquires (ratio >= RECYCLE_FLOOR), end quiescent
   (`in_use` = 0 — a leaked slot means a retirement point was missed),
-  never observe a stale/double `in_packet_done`, and pooling must not
-  allocate more minor words than the plain allocator does (with
-  headroom; large frames live on the major heap either way, so the
-  two are expected to be close rather than far apart).
+  never observe a stale/double `in_packet_done`, and its minor words
+  per event may exceed the baseline's by at most POOLED_HEADROOM.
+  Minor-word counts are deterministic for a fixed seed and build, so
+  this bound holds on any machine.
 
 Usage: bench_gate.py BASELINE.json CURRENT.json
 """
@@ -41,7 +41,7 @@ SHARDED_HEADROOM = 1.15  # sharded vs sequential, when cores >= shards
 SHARDED_SANITY = 6.0  # sharded vs sequential, when the box is core-starved
 FORWARD_FACTOR = 4.0  # forwarded packet may cost at most this many engine events
 RECYCLE_FLOOR = 0.99  # pilot ring: retired / acquired must not drop below this
-POOLED_HEADROOM = 1.25  # pooled pilot minor words vs plain allocator
+POOLED_HEADROOM = 1.25  # pilot minor words per event vs the baseline's
 
 
 def main() -> int:
@@ -153,13 +153,15 @@ def main() -> int:
         failures.append(
             f"pilot ring saw {double_done} stale/double in_packet_done"
         )
-    pooled = audit.get("minor_words_pooled")
-    plain = audit.get("minor_words_plain")
-    if pooled is not None and plain is not None and plain > 0:
-        if pooled > plain * POOLED_HEADROOM:
+    words = audit.get("minor_words_per_event_pooled")
+    base_words = baseline.get("pilot_audit", {}).get(
+        "minor_words_per_event_pooled"
+    )
+    if words is not None and base_words is not None:
+        if words > base_words * POOLED_HEADROOM:
             failures.append(
-                f"pooled pilot allocates more than plain "
-                f"({pooled:.0f} vs {plain:.0f} minor words)"
+                f"pilot minor words per event {base_words:.2f} -> "
+                f"{words:.2f} (more than {POOLED_HEADROOM}x the baseline)"
             )
 
     shared = sorted(set(base_micro) & set(cur_micro))
