@@ -75,6 +75,7 @@ let fragment =
       Mmt_daq.Fragment.Wib_ethernet
         { crate = 1; slot = 2; fiber = 3; first_channel = 0; channel_count = 64 };
     payload = Bytes.make 7200 'x';
+    padding = 0;
   }
 
 let encoded_fragment = Mmt_daq.Fragment.encode fragment
@@ -607,6 +608,50 @@ let check_pilot_allocation () =
     ring.Mmt_sim.Ring.detached;
   (words, events, delivered, ring, recycle_ratio)
 
+(* Fan-in allocation tripwire.  Synthetic frames are descriptors (the
+   header stack, fragment header and stamp are real bytes, the filler is
+   padding), so a delivered frame should put a few dozen words straight
+   onto the major heap, not its payload: a materialized 4 KiB payload
+   costs over 500 words per copy.  Direct major allocation (major words
+   minus promoted words) over the simulation of a small fan-in point,
+   per delivered frame, is an allocation count: the same on any
+   machine. *)
+let check_fanin_major_words () =
+  let config =
+    {
+      Mmt_facility.Scenario.default with
+      Mmt_facility.Scenario.flows = 50;
+      duration = Units.Time.ms 2.;
+    }
+  in
+  let topo, built, _ =
+    Mmt_sim.Shard.build ~shards:1 (Mmt_facility.Scenario.build config)
+  in
+  let until =
+    Units.Time.add config.Mmt_facility.Scenario.duration (Units.Time.seconds 1.)
+  in
+  let direct () =
+    (* An empty minor heap on both sides: every promotion of the window
+       is counted in it, so the difference is direct allocation only. *)
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let before = direct () in
+  Mmt_sim.Engine.run ~until (Mmt_sim.Topology.engine topo);
+  let words = direct () -. before in
+  let delivered = ref 0 in
+  Mmt_facility.Flow_table.iter
+    (fun _ r ->
+      delivered := !delivered + (Mmt.Receiver.stats r).Mmt.Receiver.delivered)
+    built.Mmt_facility.Scenario.receivers;
+  let per_frame = words /. float_of_int (max 1 !delivered) in
+  Printf.printf
+    "E-F5 fan-in direct major words: %.0f over %d delivered frames, %.1f per \
+     frame\n"
+    words !delivered per_frame;
+  per_frame
+
 (* Allocation audit: `Engine.schedule` must not allocate beyond the
    caller's callback.  Measured outside bechamel so the measurement
    itself cannot allocate between the two counter reads. *)
@@ -738,7 +783,7 @@ let json_escape s =
   Buffer.contents buf
 
 let write_json ~path ~quota ~limit ~jobs ~micro ~alloc_words ~sharded
-    ~barrier_words ~forward ~breakdown ~pilot_audit ~sweep =
+    ~barrier_words ~forward ~breakdown ~pilot_audit ~fanin_major ~sweep =
   let results, sequential_wall, parallel, _ = sweep in
   let sh_flows, sh_shards, sh_cores, sh_seq_wall, sh_wall, sh_identical =
     sharded
@@ -800,6 +845,9 @@ let write_json ~path ~quota ~limit ~jobs ~micro ~alloc_words ~sharded
   Buffer.add_string buf
     (Printf.sprintf "    \"ring\": %s\n" (ring_json pa_ring));
   Buffer.add_string buf "  },\n";
+  Buffer.add_string buf
+    (Printf.sprintf "  \"fanin_direct_major_words_per_frame\": %.1f,\n"
+       fanin_major);
   Buffer.add_string buf
     (Printf.sprintf "  \"schedule_alloc_minor_words\": %.3f,\n" alloc_words);
   Buffer.add_string buf "  \"micro_ns\": {\n";
@@ -880,11 +928,12 @@ let run json jobs quota limit =
   print_newline ();
   let pilot_audit = check_pilot_allocation () in
   print_newline ();
+  let fanin_major = check_fanin_major_words () in
   let alloc_words = check_schedule_allocation () in
   Option.iter
     (fun path ->
       write_json ~path ~quota ~limit ~jobs ~micro ~alloc_words ~sharded
-        ~barrier_words ~forward ~breakdown ~pilot_audit ~sweep)
+        ~barrier_words ~forward ~breakdown ~pilot_audit ~fanin_major ~sweep)
     json;
   let _, _, _, all_ok = sweep in
   let _, _, _, _, _, sharded_identical = sharded in

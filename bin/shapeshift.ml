@@ -761,8 +761,8 @@ let trace_cmd =
     let rewriter =
       Mmt_innet.Mode_rewriter.create ~mode
         ~re_encap:(Mmt.Encap.Over_ipv4 { src = buf_ip; dst = dst_ip; dscp = 0; ttl = 64 })
-        ~on_rewrite:(fun ~seq ~born frame ->
-          Option.iter (fun seq -> Mmt.Buffer_host.store buffer ~seq ~born frame) seq)
+        ~on_rewrite:(fun ~seq packet ->
+          Option.iter (fun seq -> Mmt.Buffer_host.store buffer ~seq packet) seq)
         ~pool:(Mmt_sim.Ring.pool ring) ()
     in
     let _sw =
@@ -804,7 +804,6 @@ let trace_cmd =
           deadline_budget = None;
           backpressure_to = None;
           pace = None;
-          padding = 0;
         }
     in
     for i = 0 to fragments - 1 do

@@ -98,10 +98,8 @@ let () =
   in
   let rewriter =
     Mmt_innet.Mode_rewriter.create ~mode:wan_mode
-      ~on_rewrite:(fun ~seq ~born frame ->
-        match seq with
-        | Some seq -> Mmt.Buffer_host.store buffer ~seq ~born frame
-        | None -> ())
+      ~on_rewrite:(fun ~seq packet ->
+        Option.iter (fun seq -> Mmt.Buffer_host.store buffer ~seq packet) seq)
       ~pool:(Mmt_sim.Ring.pool ring) ()
   in
   let rewrite_element = Mmt_innet.Mode_rewriter.element rewriter in
@@ -115,7 +113,6 @@ let () =
         deadline_budget = None;
         backpressure_to = None;
         pace = None;
-        padding = 0;
       }
   in
   (* Intercept the sender's frames through the rewriter before the WAN
@@ -159,6 +156,7 @@ let () =
           Mmt_daq.Fragment.Beam_instrument
             { device = sensor_id; sample_rate_khz = 50; adc_bits = 16 };
         payload = Bytes.make reading_size 's';
+        padding = 0;
       }
     in
     Mmt.Sender.send mmt_sender (Mmt_daq.Fragment.encode fragment)

@@ -40,7 +40,6 @@ let () =
         deadline_budget = None;
         backpressure_to = None;
         pace = None;
-        padding = 0;
       }
   in
   let senders = List.map (fun slice -> (slice, sender_for slice)) slices in
@@ -113,6 +112,7 @@ let () =
                          channel_count = lartpc.Mmt_daq.Lartpc.channels;
                        };
                    payload = Mmt_daq.Lartpc.serialize_window window;
+                   padding = 0;
                  }
                in
                Mmt.Sender.send sender (Mmt_daq.Fragment.encode fragment)))

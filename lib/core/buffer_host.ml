@@ -29,15 +29,29 @@ let create ~env ~capacity ?upstream () =
     unserviceable = 0;
   }
 
-let store t ~seq ~born frame = Retx_buffer.store t.buffer ~seq ~born frame
+let store t ~seq (packet : Mmt_sim.Packet.t) =
+  Retx_buffer.store t.buffer ~seq ~born:packet.born ~padding:packet.padding
+    (Bytes.copy packet.frame)
+
+let snoop t (packet : Mmt_sim.Packet.t) =
+  match Encap.locate packet.frame with
+  | Error _ -> ()
+  | Ok (_encap, off) -> (
+      match Header.View.of_frame ~off packet.frame with
+      | Ok view
+        when Header.View.kind view = Feature.Kind.Data
+             && Header.View.has view Feature.Sequenced ->
+          store t ~seq:(Header.View.sequence view) packet
+      | Ok _ | Error _ -> ())
 
 let resend t ~requester (entry : Retx_buffer.entry) =
-  (* Preserve the original birth time: a recovered message's latency is
-     end-to-end, not resend-to-delivery. *)
+  (* Preserve the original birth time and wire size: a recovered
+     message's latency is end-to-end, not resend-to-delivery. *)
   let src = entry.Retx_buffer.frame in
   let len = Bytes.length src in
   let packet =
     Mmt_sim.Ring.in_packet t.env.Mmt_runtime.Env.ring
+      ~padding:entry.Retx_buffer.padding
       ~id:(t.env.Mmt_runtime.Env.fresh_id ())
       ~born:entry.Retx_buffer.born len
   in
@@ -96,24 +110,12 @@ let handle_nak t nak =
 
 let on_packet t packet =
   (if not packet.Mmt_sim.Packet.corrupted then
-     match Encap.strip (Mmt_sim.Packet.frame packet) with
-     | Error _ -> ()
-     | Ok (_encap, mmt_frame) -> (
-         match Header.decode_bytes mmt_frame with
+     match Encap.unwrap (Mmt_sim.Packet.frame packet) with
+     | Ok ({ Header.kind = Feature.Kind.Nak; _ }, payload) -> (
+         match Control.Nak.decode payload with
          | Error _ -> ()
-         | Ok header -> (
-             match header.Header.kind with
-             | Feature.Kind.Nak -> (
-                 let payload =
-                   Bytes.sub mmt_frame (Header.size header)
-                     (Bytes.length mmt_frame - Header.size header)
-                 in
-                 match Control.Nak.decode payload with
-                 | Error _ -> ()
-                 | Ok nak -> handle_nak t nak)
-             | Feature.Kind.Data | Feature.Kind.Deadline_exceeded
-             | Feature.Kind.Backpressure | Feature.Kind.Buffer_advert ->
-                 ())));
+         | Ok nak -> handle_nak t nak)
+     | Ok _ | Error _ -> ());
   (* The buffer host consumes whatever reaches it (NAKs and strays). *)
   Mmt_runtime.Env.retire t.env packet
 

@@ -31,12 +31,18 @@ val create :
   t
 (** Resent frames are copied into slots of the environment's ring. *)
 
-val store : t -> seq:int -> born:Mmt_util.Units.Time.t -> bytes -> unit
-(** Record a frame as forwarded downstream under sequence [seq].  The
-    frame must be the full wire frame (encapsulation included) so a
-    resend is byte-identical; [born] is the original packet's birth
-    time, preserved across retransmission for honest latency
-    accounting. *)
+val store : t -> seq:int -> Mmt_sim.Packet.t -> unit
+(** Record a packet as forwarded downstream under sequence [seq]: a
+    copy of its materialized frame (encapsulation included, so a resend
+    is byte-identical) plus its padding and birth time.  The packet
+    itself is not retained.  A resend rebuilds a packet with the same
+    frame bytes, wire size and birth time, so a recovered message
+    reports end-to-end latency. *)
+
+val snoop : t -> Mmt_sim.Packet.t -> unit
+(** {!store} a passing packet under its sequence number when it is a
+    sequenced data frame; anything else is ignored.  How an on-path
+    buffer point watching the stream fills itself. *)
 
 val on_packet : t -> Mmt_sim.Packet.t -> unit
 (** Feed a control packet; only NAKs addressed to this buffer are

@@ -98,6 +98,16 @@ let strip frame =
   | Ok (encap, off) ->
       Ok (encap, Bytes.sub frame off (Bytes.length frame - off))
 
+let unwrap frame =
+  match locate frame with
+  | Error _ as e -> e
+  | Ok (_encap, off) -> (
+      match Header.decode_bytes ~off frame with
+      | Error _ as e -> e
+      | Ok header ->
+          let start = off + Header.size header in
+          Ok (header, Bytes.sub frame start (Bytes.length frame - start)))
+
 let rewrap_into ~old_frame ~mmt_offset ~mmt_length out =
   Bytes.blit old_frame 0 out 0 mmt_offset;
   (* Fix the IPv4 total length + checksum if an IPv4 header ends exactly
@@ -121,12 +131,3 @@ let rewrap ~old_frame ~mmt_offset new_mmt =
   Bytes.blit new_mmt 0 out mmt_offset (Bytes.length new_mmt);
   rewrap_into ~old_frame ~mmt_offset ~mmt_length:(Bytes.length new_mmt) out;
   out
-
-let describe = function
-  | Raw -> "raw"
-  | Over_ethernet { src; dst } ->
-      Printf.sprintf "ethernet(%s -> %s)" (Addr.Mac.to_string src)
-        (Addr.Mac.to_string dst)
-  | Over_ipv4 { src; dst; _ } ->
-      Printf.sprintf "ipv4(%s -> %s)" (Addr.Ip.to_string src)
-        (Addr.Ip.to_string dst)

@@ -43,6 +43,11 @@ val locate : bytes -> (t * int, string) result
 val strip : bytes -> (t * bytes, string) result
 (** [locate] plus copying out the transport frame. *)
 
+val unwrap : bytes -> (Header.t * bytes, string) result
+(** [locate], decode the transport header in place, and copy out the
+    materialized payload after it — the single copy an endpoint makes
+    of a frame it consumes. *)
+
 val rewrap : old_frame:bytes -> mmt_offset:int -> bytes -> bytes
 (** [rewrap ~old_frame ~mmt_offset new_mmt] keeps the encapsulation
     bytes of [old_frame] (fixing the IPv4 length/checksum when present)
@@ -58,5 +63,3 @@ val rewrap_into :
     The caller blits the [mmt_length]-byte replacement transport frame
     at [mmt_offset] (before or after — the fix touches only the
     prefix). *)
-
-val describe : t -> string

@@ -134,6 +134,10 @@ val int_ext_size : int
 (** Encoded size of the whole INT extension (count/flags word plus
     {!max_int_hops} slots), feature-independent. *)
 
+val max_size : int
+(** 160 — the header with every extension present: the most bytes any
+    configuration data, corrupted or not, can make a parser read. *)
+
 val encode : t -> bytes
 (** Seals the checksum when the Checksummed feature is active. *)
 

@@ -18,6 +18,7 @@ type meta = {
   late : bool;
   aged : bool;
   age_us : int option;
+  padding : int;
 }
 
 type stats = {
@@ -104,7 +105,7 @@ let create ~env config ~deliver =
     env;
     config;
     deliver;
-    received = Hashtbl.create 4096;
+    received = Hashtbl.create 64;
     missing = Hashtbl.create 64;
     nak_state = Gauge.create ();
     given_up = Hashtbl.create 16;
@@ -317,7 +318,16 @@ let deliver_message t packet (header : Header.t) payload ~recovered =
   check_completion t now;
   arm_tail_check t;
   t.deliver
-    { header; arrival = now; transport_latency; recovered; late; aged; age_us }
+    {
+      header;
+      arrival = now;
+      transport_latency;
+      recovered;
+      late;
+      aged;
+      age_us;
+      padding = packet.Mmt_sim.Packet.padding;
+    }
     payload
 
 let implausible_seq t seq =
@@ -393,27 +403,27 @@ let handle_sequenced t packet header payload seq =
   end
 
 let consume t packet =
+  let frame = Mmt_sim.Packet.frame packet in
   if packet.Mmt_sim.Packet.corrupted then t.corrupted <- t.corrupted + 1
   else
-    match Encap.strip (Mmt_sim.Packet.frame packet) with
+    match Encap.locate frame with
     | Error _ -> t.corrupted <- t.corrupted + 1
-    | Ok (_encap, mmt_frame) -> (
-        match Header.View.of_frame mmt_frame with
+    | Ok (_encap, off) -> (
+        match Header.View.of_frame ~off frame with
         | Ok view when not (Header.View.verify view) ->
             (* Real corruption detection: the stored header checksum
                no longer sums clean over the received bytes. *)
             t.corrupted <- t.corrupted + 1;
             t.checksum_failed <- t.checksum_failed + 1
         | Ok _ | Error _ -> (
-        match Header.decode_bytes mmt_frame with
+        match Header.decode_bytes ~off frame with
         | Error _ -> t.corrupted <- t.corrupted + 1
         | Ok header -> (
+            (* The one copy on receive: the materialized payload. *)
+            let start = off + Header.size header in
+            let payload = Bytes.sub frame start (Bytes.length frame - start) in
             match header.Header.kind with
             | Feature.Kind.Data -> (
-                let payload =
-                  Bytes.sub mmt_frame (Header.size header)
-                    (Bytes.length mmt_frame - Header.size header)
-                in
                 match header.Header.sequence with
                 | Some seq -> handle_sequenced t packet header payload seq
                 | None ->
@@ -424,10 +434,6 @@ let consume t packet =
                    advertisement pushed downstream (e.g. after a
                    failover) updates where NAKs go, even when no new
                    data arrives to carry the change. *)
-                let payload =
-                  Bytes.sub mmt_frame (Header.size header)
-                    (Bytes.length mmt_frame - Header.size header)
-                in
                 match Control.Buffer_advert.decode payload with
                 | Error _ -> ()
                 | Ok advert ->

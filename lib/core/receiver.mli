@@ -33,6 +33,11 @@ type meta = {
   late : bool;  (** arrived past its deadline *)
   aged : bool;  (** age budget exceeded by final accumulation *)
   age_us : int option;  (** final accumulated age, when age-tracked *)
+  padding : int;
+      (** unmaterialized payload bytes that followed the delivered
+          payload on the wire (the carrier's {!Mmt_sim.Packet.padding}):
+          what a descriptor decode (a DAQ fragment's filler) needs
+          besides the payload bytes *)
 }
 
 type stats = {

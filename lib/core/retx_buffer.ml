@@ -12,7 +12,9 @@ type stats = {
   entries_high_water : int;
 }
 
-type entry = { frame : bytes; born : Units.Time.t }
+type entry = { frame : bytes; padding : int; born : Units.Time.t }
+
+let wire_bytes entry = Bytes.length entry.frame + entry.padding
 
 type t = {
   capacity : int;
@@ -29,7 +31,7 @@ type t = {
 let create ~capacity =
   {
     capacity = Units.Size.to_bytes capacity;
-    frames = Hashtbl.create 1024;
+    frames = Hashtbl.create 64;
     order = Queue.create ();
     bytes = Gauge.create ();
     entries = Gauge.create ();
@@ -47,25 +49,26 @@ let evict_one t =
       | None -> () (* already overwritten; its queue entry was stale *)
       | Some entry ->
           Hashtbl.remove t.frames seq;
-          Gauge.add t.bytes (-Bytes.length entry.frame);
+          Gauge.add t.bytes (-wire_bytes entry);
           Gauge.add t.entries (-1);
           t.evicted <- t.evicted + 1)
 
-let store t ~seq ~born frame =
-  let size = Bytes.length frame in
+let store t ~seq ~born ~padding frame =
+  let entry = { frame; padding; born } in
+  let size = wire_bytes entry in
   t.stored <- t.stored + 1;
   if size > t.capacity then t.evicted <- t.evicted + 1
   else begin
     (match Hashtbl.find_opt t.frames seq with
     | Some old ->
-        Gauge.add t.bytes (-Bytes.length old.frame);
+        Gauge.add t.bytes (-wire_bytes old);
         Gauge.add t.entries (-1);
         Hashtbl.remove t.frames seq
     | None -> ());
     while Gauge.value t.bytes + size > t.capacity do
       evict_one t
     done;
-    Hashtbl.replace t.frames seq { frame; born };
+    Hashtbl.replace t.frames seq entry;
     Queue.push seq t.order;
     Gauge.add t.bytes size;
     Gauge.add t.entries 1

@@ -8,7 +8,6 @@ type config = {
   deadline_budget : (Units.Time.t * Addr.Ip.t) option;
   backpressure_to : Addr.Ip.t option;
   pace : Units.Rate.t option;
-  padding : int;
 }
 
 type stats = {
@@ -23,7 +22,7 @@ type stats = {
 type t = {
   env : Mmt_runtime.Env.t;
   config : config;
-  queue : bytes Queue.t;
+  queue : (bytes * int) Queue.t;  (* message and its padding *)
   mutable pace : Units.Rate.t option;
   mutable drain_scheduled : bool;
   mutable next_departure : Units.Time.t;
@@ -60,39 +59,39 @@ let header_for t ~now =
   | None -> header
   | Some control -> Header.with_backpressure_to header control
 
-let build_frame t payload =
-  let header = header_for t ~now:(Mmt_runtime.Env.now t.env) in
-  let mmt = Header.encode header in
-  let frame = Bytes.create (Bytes.length mmt + Bytes.length payload) in
-  Bytes.blit mmt 0 frame 0 (Bytes.length mmt);
-  Bytes.blit payload 0 frame (Bytes.length mmt) (Bytes.length payload);
-  Encap.wrap t.config.encap frame
-
-let transmit t payload =
-  let frame = build_frame t payload in
-  let packet = Mmt_runtime.Env.packet t.env ~padding:t.config.padding frame in
+(* One pool frame holds the encapsulation, the transport header and the
+   materialized payload; the padding stays a byte count on the packet. *)
+let transmit t (payload, padding) =
+  let env = t.env in
+  let mmt = Header.encode (header_for t ~now:(Mmt_runtime.Env.now env)) in
+  let off = Encap.overhead t.config.encap in
+  let mmt_length = Bytes.length mmt + Bytes.length payload in
+  let packet =
+    Mmt_sim.Ring.in_packet env.Mmt_runtime.Env.ring ~padding
+      ~id:(env.Mmt_runtime.Env.fresh_id ())
+      ~born:(Mmt_runtime.Env.now env) (off + mmt_length)
+  in
+  let frame = Mmt_sim.Packet.frame packet in
+  Encap.wrap_into t.config.encap ~mmt_length frame;
+  Bytes.blit mmt 0 frame off (Bytes.length mmt);
+  Bytes.blit payload 0 frame (off + Bytes.length mmt) (Bytes.length payload);
   t.messages_sent <- t.messages_sent + 1;
   t.bytes_sent <-
     t.bytes_sent + Units.Size.to_bytes (Mmt_sim.Packet.wire_size packet);
-  t.env.Mmt_runtime.Env.send t.config.destination packet
+  env.Mmt_runtime.Env.send t.config.destination packet
 
-let message_wire_size t payload =
+let message_wire_size t (payload, padding) =
   (* The pacer's view of one message on the wire. *)
   let header_size = Header.size (header_for t ~now:Units.Time.zero) in
-  let encap_size =
-    match t.config.encap with
-    | Encap.Raw -> 0
-    | Encap.Over_ethernet _ -> Ethernet.header_size
-    | Encap.Over_ipv4 _ -> Ipv4.header_size
-  in
   Units.Size.bytes
-    (header_size + encap_size + Bytes.length payload + t.config.padding)
+    (header_size + Encap.overhead t.config.encap + Bytes.length payload
+   + padding)
 
 let rec drain t =
   t.drain_scheduled <- false;
   match Queue.peek_opt t.queue with
   | None -> ()
-  | Some payload -> (
+  | Some message -> (
       let now = Mmt_runtime.Env.now t.env in
       match t.pace with
       | None ->
@@ -102,8 +101,8 @@ let rec drain t =
       | Some pace ->
           if Units.Time.(t.next_departure <= now) then begin
             ignore (Queue.pop t.queue);
-            transmit t payload;
-            let gap = Units.Rate.transmission_time pace (message_wire_size t payload) in
+            transmit t message;
+            let gap = Units.Rate.transmission_time pace (message_wire_size t message) in
             t.next_departure <- Units.Time.add now gap
           end;
           if not (Queue.is_empty t.queue) then schedule_drain t)
@@ -116,14 +115,13 @@ and schedule_drain t =
     ignore (Mmt_runtime.Env.after t.env delay (fun () -> drain t))
   end
 
-let send t payload =
+let send t ?(padding = 0) payload =
+  if padding < 0 then invalid_arg "Sender.send: negative padding";
   match t.pace with
-  | None when Queue.is_empty t.queue -> transmit t payload
+  | None when Queue.is_empty t.queue -> transmit t (payload, padding)
   | _ ->
-      Queue.push payload t.queue;
+      Queue.push (payload, padding) t.queue;
       schedule_drain t
-
-let send_many t payloads = List.iter (send t) payloads
 
 let on_control t header payload =
   match header.Header.kind with

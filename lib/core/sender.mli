@@ -24,9 +24,6 @@ type config = {
       (** advertise this control address in the header so on-path
           elements know where congestion signals go *)
   pace : Units.Rate.t option;  (** initial pace; [None] = unpaced *)
-  padding : int;
-      (** extra wire bytes per message, to model jumbo payloads without
-          materializing them *)
 }
 
 type stats = {
@@ -42,11 +39,14 @@ type t
 
 val create : env:Mmt_runtime.Env.t -> config -> t
 
-val send : t -> bytes -> unit
+val send : t -> ?padding:int -> bytes -> unit
 (** Enqueue one message.  Departs immediately when unpaced and the
-    queue is empty; otherwise at the pace. *)
-
-val send_many : t -> bytes list -> unit
+    queue is empty; otherwise at the pace.  [padding] (default 0) is
+    the message's unmaterialized tail — a descriptor's filler: it adds
+    to the frame's wire size ({!Mmt_sim.Packet.padding}) but is never
+    copied.  The frame is one ring buffer holding the encapsulation,
+    the header and [payload].
+    @raise Invalid_argument if [padding < 0]. *)
 
 val on_control : t -> Header.t -> bytes -> unit
 (** Feed a control-kind transport message addressed to this sender

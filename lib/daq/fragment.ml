@@ -25,13 +25,15 @@ type t = {
   experiment : Mmt.Experiment_id.t;
   detector : detector;
   payload : bytes;
+  padding : int;
 }
 
 let magic = 0xDA01
 let header_size = 28
 let subheader_size = 12
 
-let total_size t = header_size + subheader_size + Bytes.length t.payload
+let payload_length t = Bytes.length t.payload + t.padding
+let total_size t = header_size + subheader_size + payload_length t
 
 let detector_kind_code = function
   | Wib_ethernet _ -> 1
@@ -103,7 +105,8 @@ let decode_subheader r code =
   | other -> Error (Printf.sprintf "unknown detector kind %d" other)
 
 let encode t =
-  let w = Cursor.Writer.create (total_size t) in
+  let buf = Bytes.create (total_size t - t.padding) in
+  let w = Cursor.Writer.over buf in
   Cursor.Writer.u16 w magic;
   Cursor.Writer.u8 w 1 (* format version *);
   Cursor.Writer.u8 w (detector_kind_code t.detector);
@@ -111,12 +114,12 @@ let encode t =
   Cursor.Writer.u32_int w t.trigger;
   Cursor.Writer.u64 w (Units.Time.to_int64_ns t.timestamp);
   Cursor.Writer.u32 w (Mmt.Experiment_id.to_int32 t.experiment);
-  Cursor.Writer.u32_int w (Bytes.length t.payload);
+  Cursor.Writer.u32_int w (payload_length t);
   encode_subheader w t.detector;
   Cursor.Writer.bytes w t.payload;
-  Cursor.Writer.contents w
+  buf
 
-let decode buf =
+let decode ?(padding = 0) buf =
   match
     let r = Cursor.Reader.of_bytes buf in
     let seen_magic = Cursor.Reader.u16 r in
@@ -134,11 +137,14 @@ let decode buf =
         match decode_subheader r kind_code with
         | Error _ as e -> e
         | Ok detector ->
-            if Cursor.Reader.remaining r < payload_length then
+            let materialized = payload_length - padding in
+            if padding < 0 || materialized < 0 then
+              Error "fragment padding exceeds its payload length"
+            else if Cursor.Reader.remaining r < materialized then
               Error "fragment payload truncated"
             else
-              let payload = Cursor.Reader.take r payload_length in
-              Ok { run; trigger; timestamp; experiment; detector; payload }
+              let payload = Cursor.Reader.take r materialized in
+              Ok { run; trigger; timestamp; experiment; detector; payload; padding }
       end
     end
   with
@@ -151,6 +157,7 @@ let equal a b =
   && Mmt.Experiment_id.equal a.experiment b.experiment
   && a.detector = b.detector
   && Bytes.equal a.payload b.payload
+  && a.padding = b.padding
 
 let pp fmt t =
   let detector_name =
@@ -161,4 +168,4 @@ let pp fmt t =
     | Telescope_alert _ -> "telescope-alert"
   in
   Format.fprintf fmt "fragment{run %d, trigger %d, %a, %s, %dB}" t.run t.trigger
-    Mmt.Experiment_id.pp t.experiment detector_name (Bytes.length t.payload)
+    Mmt.Experiment_id.pp t.experiment detector_name (payload_length t)

@@ -8,7 +8,16 @@
     serialized {!Lartpc} window) closes the fragment.
 
     Fragments are the {e messages} the transport carries (Req 7) —
-    discrete and timestamped. *)
+    discrete and timestamped.
+
+    {b Descriptors.}  A fragment's payload is [payload] (real bytes)
+    followed by [padding] filler bytes that are never materialized: the
+    header's payload-length field counts both, {!encode} writes only
+    the real bytes, and a sender carries the filler as the packet's
+    {!Mmt_sim.Packet.padding}.  Synthetic workloads emit their 8-byte
+    random stamp as [payload] and the rest as [padding]; detector
+    payloads that a consumer reads (LArTPC windows, hits, photon
+    samples, alerts) are fully real, with [padding = 0]. *)
 
 open Mmt_util
 
@@ -35,7 +44,8 @@ type t = {
   timestamp : Units.Time.t;  (** hardware clock at digitization *)
   experiment : Mmt.Experiment_id.t;  (** includes the slice (Req 8) *)
   detector : detector;
-  payload : bytes;
+  payload : bytes;  (** the materialized payload prefix *)
+  padding : int;  (** filler bytes after [payload], counted but not held *)
 }
 
 val header_size : int
@@ -44,9 +54,22 @@ val header_size : int
 val subheader_size : int
 (** All detector subheaders are padded to 12 bytes. *)
 
+val payload_length : t -> int
+(** Logical payload bytes: [Bytes.length payload + padding]. *)
+
 val total_size : t -> int
+(** Header, subheader and logical payload: the fragment's wire size. *)
+
 val detector_kind_code : detector -> int
+
 val encode : t -> bytes
-val decode : bytes -> (t, string) result
+(** Header, subheader and the materialized payload; the [padding]
+    filler is left for the carrier packet. *)
+
+val decode : ?padding:int -> bytes -> (t, string) result
+(** [decode ~padding buf] reads a fragment whose last [padding] payload
+    bytes rode outside [buf] as its carrier's padding (default 0: every
+    byte is in [buf]). *)
+
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -63,15 +63,22 @@ let expected_interval config =
   in
   Units.Rate.transmission_time rate (Units.Size.bytes fragment_bytes)
 
+(* A synthetic payload is a descriptor: its random stamp is the only
+   real content, and the ['\xA5'] filler after it rides as padding.
+   Payloads too short to hold the stamp draw nothing and stay real. *)
+let synthetic t size =
+  if size < 8 then (Bytes.make size '\xA5', 0)
+  else begin
+    let stamp = Bytes.create 8 in
+    Bytes.set_int64_be stamp 0 (Rng.int64 t.rng);
+    (stamp, size - 8)
+  end
+
 let build_payload t =
   match t.config.payload with
-  | Synthetic size ->
-      let buf = Bytes.make (Units.Size.to_bytes size) '\xA5' in
-      (* Stamp a random word so payloads differ packet to packet. *)
-      if Bytes.length buf >= 8 then Bytes.set_int64_be buf 0 (Rng.int64 t.rng);
-      buf
+  | Synthetic size -> synthetic t (Units.Size.to_bytes size)
   | Raw_window (lconfig, activity) ->
-      Lartpc.serialize_window (Lartpc.generate_window lconfig t.rng ~activity)
+      (Lartpc.serialize_window (Lartpc.generate_window lconfig t.rng ~activity), 0)
   | Trigger_primitives (lconfig, activity, threshold) ->
       let window = Lartpc.generate_window lconfig t.rng ~activity in
       let hits =
@@ -80,10 +87,10 @@ let build_payload t =
                Lartpc.trigger_primitives lconfig ~threshold ~channel waveform)
         |> List.concat
       in
-      Lartpc.serialize_hits hits
+      (Lartpc.serialize_hits hits, 0)
   | Photon_flash (pconfig, mean_photons) ->
       let photons = Rng.poisson t.rng ~mean:(float_of_int mean_photons) in
-      Photon.serialize (Photon.generate pconfig t.rng ~photons)
+      (Photon.serialize (Photon.generate pconfig t.rng ~photons), 0)
 
 let detector_for t =
   match t.config.payload with
@@ -109,12 +116,9 @@ let detector_for t =
 
 let emit_fragment ?payload_bytes t =
   let now = Mmt_sim.Engine.now t.engine in
-  let payload =
+  let payload, padding =
     match (payload_bytes, t.config.payload) with
-    | Some bytes, Synthetic _ ->
-        let buf = Bytes.make bytes '\xA5' in
-        if Bytes.length buf >= 8 then Bytes.set_int64_be buf 0 (Rng.int64 t.rng);
-        buf
+    | Some bytes, Synthetic _ -> synthetic t bytes
     | _ -> build_payload t
   in
   let fragment =
@@ -127,6 +131,7 @@ let emit_fragment ?payload_bytes t =
           t.config.slice;
       detector = detector_for t;
       payload;
+      padding;
     }
   in
   t.trigger <- t.trigger + 1;

@@ -35,7 +35,10 @@ type profile =
           recorded sizes override [Synthetic] sizes. *)
 
 type payload =
-  | Synthetic of Units.Size.t  (** patterned filler of the given size *)
+  | Synthetic of Units.Size.t
+      (** patterned filler of the given size: an 8-byte random stamp
+          then ['\xA5'] bytes, emitted as a descriptor fragment (the
+          stamp materialized, the filler as {!Fragment.t.padding}) *)
   | Raw_window of Lartpc.config * Lartpc.activity
   | Trigger_primitives of Lartpc.config * Lartpc.activity * int
       (** threshold; payload is the serialized hit list *)

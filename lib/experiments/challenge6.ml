@@ -142,22 +142,15 @@ let payload_alerts () =
   let alerts = ref [] in
   Mmt_sim.Node.set_handler rubin (fun packet ->
       (let frame = Mmt_sim.Packet.frame packet in
-       match Mmt.Encap.strip frame with
+       match Mmt.Encap.unwrap frame with
        | Error _ -> ()
-       | Ok (_encap, mmt) -> (
-           match Mmt.Header.decode_bytes mmt with
-           | Error _ -> ()
-           | Ok header -> (
-               let payload =
-                 Bytes.sub mmt (Mmt.Header.size header)
-                   (Bytes.length mmt - Mmt.Header.size header)
-               in
-               match Mmt_daq.Fragment.decode payload with
-               | Ok
-                   ({ Mmt_daq.Fragment.detector = Mmt_daq.Fragment.Telescope_alert _; _ }
-                    as fragment) ->
-                   alerts := (Mmt_sim.Engine.now engine, fragment) :: !alerts
-               | Ok _ | Error _ -> ())));
+       | Ok (_header, payload) -> (
+           match Mmt_daq.Fragment.decode payload with
+           | Ok
+               ({ Mmt_daq.Fragment.detector = Mmt_daq.Fragment.Telescope_alert _; _ }
+                as fragment) ->
+               alerts := (Mmt_sim.Engine.now engine, fragment) :: !alerts
+           | Ok _ | Error _ -> ()));
       Mmt_sim.Ring.in_packet_done ring packet);
   (* Detector: trigger-primitive fragments; a supernova burst begins at
      2 ms (higher activity => bigger summed charge). *)
@@ -178,7 +171,6 @@ let payload_alerts () =
         deadline_budget = None;
         backpressure_to = None;
         pace = None;
-        padding = 0;
       }
   in
   let fragment_count = 400 in
@@ -215,6 +207,7 @@ let payload_alerts () =
                      channel_count = lartpc.Mmt_daq.Lartpc.channels;
                    };
                payload = Mmt_daq.Lartpc.serialize_hits hits;
+               padding = 0;
              }
            in
            Mmt.Sender.send sender (Mmt_daq.Fragment.encode fragment)))

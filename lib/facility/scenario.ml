@@ -442,10 +442,8 @@ let build ?(on_deliver = fun ~flow:_ ~seq:_ -> ()) config topo =
         let buffer = Option.get (Flow_table.get buffers f) in
         Mmt_innet.Mode_rewriter.create ~mode
           ~pool:(Mmt_sim.Ring.pool (node_ring sedges.(site_of.(f))))
-          ~on_rewrite:(fun ~seq ~born frame ->
-            match seq with
-            | Some seq -> Mmt.Buffer_host.store buffer ~seq ~born frame
-            | None -> ())
+          ~on_rewrite:(fun ~seq packet ->
+            Option.iter (fun seq -> Mmt.Buffer_host.store buffer ~seq packet) seq)
           ())
   in
   let ingress_handlers =
@@ -609,14 +607,14 @@ let build ?(on_deliver = fun ~flow:_ ~seq:_ -> ()) config topo =
               deadline_budget = None;
               backpressure_to = None;
               pace = None;
-              padding = 0;
             }
         in
         sender_slots.(f) <- Some sender;
         Mmt_daq.Workload.start ~engine ~rng:flow_rngs.(f)
           (workload_config (kind_of_flow f))
           ~emit:(fun fragment ->
-            Mmt.Sender.send sender (Mmt_daq.Fragment.encode fragment))
+            Mmt.Sender.send sender ~padding:fragment.Mmt_daq.Fragment.padding
+              (Mmt_daq.Fragment.encode fragment))
           ~until:config.duration)
   in
   let senders =

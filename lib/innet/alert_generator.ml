@@ -56,6 +56,7 @@ let send_alert t ~(source : Mmt_daq.Fragment.t) ~total_charge =
             severity = min 255 (total_charge / 10_000);
           };
       payload = Bytes.empty;
+      padding = 0;
     }
   in
   t.next_alert_id <- t.next_alert_id + 1;
@@ -108,7 +109,9 @@ let process t ~now:_ packet =
           let payload =
             Bytes.sub frame payload_offset (Bytes.length frame - payload_offset)
           in
-          match Mmt_daq.Fragment.decode payload with
+          match
+            Mmt_daq.Fragment.decode ~padding:packet.Mmt_sim.Packet.padding payload
+          with
           | Error _ -> ()
           | Ok fragment -> (
               t.inspected <- t.inspected + 1;

@@ -23,32 +23,16 @@ let program =
       ];
   }
 
-let copy_frame t frame =
-  let len = Bytes.length frame in
-  let out = Mmt_sim.Pool.acquire (Mmt_runtime.Env.pool t.env) len in
-  Bytes.blit frame 0 out 0 len;
-  out
-
-(* Returns the frame to copy consumer frames from, plus whether it is a
-   scratch buffer this element owns (and may recycle afterwards) or the
-   packet's own live frame (which it must not). *)
-let mark_duplicated t frame =
+(* The Duplicated bit lives in the configuration data: setting it on a
+   clone's header view leaves the size alone and reseals the checksum. *)
+let mark_duplicated frame =
   match Mmt.Encap.locate frame with
-  | Error _ -> (frame, false)
-  | Ok (_encap, mmt_offset) -> (
-      match Mmt.Header.View.of_frame ~off:mmt_offset frame with
-      | Error _ -> (frame, false)
-      | Ok view ->
-          if Mmt.Header.View.has view Mmt.Feature.Duplicated then (frame, false)
-          else begin
-            (* The Duplicated bit lives in the configuration data; the
-               header size is unchanged, so flip it in place on a copy. *)
-            let out = copy_frame t frame in
-            (match Mmt.Header.View.of_frame ~off:mmt_offset out with
-            | Ok view -> Mmt.Header.View.set_duplicated view
-            | Error _ -> ());
-            (out, true)
-          end)
+  | Error _ -> ()
+  | Ok (_encap, off) -> (
+      match Mmt.Header.View.of_frame ~off frame with
+      | Ok view when not (Mmt.Header.View.has view Mmt.Feature.Duplicated) ->
+          Mmt.Header.View.set_duplicated view
+      | Ok _ | Error _ -> ())
 
 let process t ~now:_ packet =
   let frame = Mmt_sim.Packet.frame packet in
@@ -66,25 +50,18 @@ let process t ~now:_ packet =
   end
   else begin
     t.duplicated <- t.duplicated + 1;
-    let marked, scratch = mark_duplicated t frame in
     List.iter
       (fun consumer ->
-        (* Slot-allocated copy: record and frame both come from the
-           ring, so the fan-out is allocation-free. *)
-        let len = Bytes.length marked in
+        (* A ring clone: record and frame both recycle, and padding,
+           corruption and hop count travel with the copy. *)
         let copy =
-          Mmt_sim.Ring.in_packet t.env.Mmt_runtime.Env.ring
-            ~padding:packet.Mmt_sim.Packet.padding
+          Mmt_sim.Ring.clone t.env.Mmt_runtime.Env.ring packet
             ~id:(t.env.Mmt_runtime.Env.fresh_id ())
-            ~born:packet.Mmt_sim.Packet.born len
         in
-        Bytes.blit marked 0 copy.Mmt_sim.Packet.frame 0 len;
-        copy.Mmt_sim.Packet.corrupted <- packet.Mmt_sim.Packet.corrupted;
-        copy.Mmt_sim.Packet.hops <- packet.Mmt_sim.Packet.hops;
+        mark_duplicated (Mmt_sim.Packet.frame copy);
         t.copies_sent <- t.copies_sent + 1;
         t.env.Mmt_runtime.Env.send consumer copy)
       t.consumers;
-    if scratch then Mmt_sim.Pool.release (Mmt_runtime.Env.pool t.env) marked;
     Element.Forward packet
   end
 

@@ -19,9 +19,9 @@ type t
 
 val create :
   env:Mmt_runtime.Env.t -> consumers:Addr.Ip.t list -> unit -> t
-(** Consumer copies are slot-allocated from the environment's ring
-    (records and frames both recycled), and the internal marked scratch
-    frame is recycled into the ring's pool after the fan-out. *)
+(** Each consumer copy is a {!Mmt_sim.Ring.clone} from the
+    environment's ring (record and frame both recycled) with the
+    Duplicated bit then set on the copy's header. *)
 
 val element : t -> Element.t
 val stats : t -> stats

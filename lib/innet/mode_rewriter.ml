@@ -12,7 +12,7 @@ type t = {
   mutable mode : Mmt.Mode.t;
   re_encap : Mmt.Encap.t option;
   pool : Mmt_sim.Pool.t;
-  on_rewrite : (seq:int option -> born:Mmt_util.Units.Time.t -> bytes -> unit) option;
+  on_rewrite : (seq:int option -> Mmt_sim.Packet.t -> unit) option;
   liveness : (Mmt_frame.Addr.Ip.t -> now:Mmt_util.Units.Time.t -> bool) option;
   counters : (Mmt.Experiment_id.t, int) Hashtbl.t;
   mutable rewritten : int;
@@ -186,9 +186,7 @@ let rewrite_slow t ~mode ~now packet ~frame ~mmt_offset header =
   | Some _ -> t.sequenced <- t.sequenced + 1
   | None -> ());
   Option.iter
-    (fun callback ->
-      callback ~seq:new_header.Mmt.Header.sequence
-        ~born:packet.Mmt_sim.Packet.born (Bytes.copy new_frame))
+    (fun callback -> callback ~seq:new_header.Mmt.Header.sequence packet)
     t.on_rewrite;
   Element.Forward packet
 
@@ -219,8 +217,7 @@ let rewrite_fast t ~mode packet ~frame ~mmt_offset view =
           Some (Mmt.Header.View.sequence view)
         else None
       in
-      callback ~seq ~born:packet.Mmt_sim.Packet.born
-        (Bytes.copy (Mmt_sim.Packet.frame packet)))
+      callback ~seq packet)
     t.on_rewrite;
   (* Recycle the replaced frame only after the callback: [view] still
      reads from it for the sequence number. *)

@@ -19,8 +19,10 @@
     - optionally re-encapsulates (e.g. DAQ Ethernet → WAN IPv4 at the
       border, Req 1).
 
-    A callback observes each rewritten frame so a co-located
-    retransmission buffer ({!Mmt.Buffer_host}) can store it.
+    A callback observes each rewritten packet so a co-located
+    retransmission buffer ({!Mmt.Buffer_host.store}) can keep a copy;
+    the packet moves on after the callback, so the callback must not
+    retain it.
 
     {b Graceful degradation.}  With a [liveness] oracle installed, a
     rewriter whose target mode names a retransmission buffer that is no
@@ -47,7 +49,7 @@ val create :
   mode:Mmt.Mode.t ->
   ?re_encap:Mmt.Encap.t ->
   pool:Mmt_sim.Pool.t ->
-  ?on_rewrite:(seq:int option -> born:Mmt_util.Units.Time.t -> bytes -> unit) ->
+  ?on_rewrite:(seq:int option -> Mmt_sim.Packet.t -> unit) ->
   ?liveness:(Mmt_frame.Addr.Ip.t -> now:Mmt_util.Units.Time.t -> bool) ->
   unit ->
   t

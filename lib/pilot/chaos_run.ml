@@ -100,19 +100,7 @@ let snoop_element (point : buffer_point) =
       };
     process =
       (fun ~now:_ packet ->
-        (if point.alive then
-           let frame = Mmt_sim.Packet.frame packet in
-           match Mmt.Encap.locate frame with
-           | Error _ -> ()
-           | Ok (_encap, off) -> (
-               match Mmt.Header.View.of_frame ~off frame with
-               | Ok view
-                 when Mmt.Header.View.kind view = Mmt.Feature.Kind.Data
-                      && Mmt.Header.View.has view Mmt.Feature.Sequenced ->
-                   Mmt.Buffer_host.store point.host
-                     ~seq:(Mmt.Header.View.sequence view)
-                     ~born:packet.Mmt_sim.Packet.born (Bytes.copy frame)
-               | Ok _ | Error _ -> ()));
+        if point.alive then Mmt.Buffer_host.snoop point.host packet;
         Mmt_innet.Element.Forward packet);
   }
 
@@ -422,10 +410,16 @@ let run p =
         deadline_budget = None;
         backpressure_to = None;
         pace = None;
-        padding = 0;
       }
   in
-  let payload = Bytes.make (Units.Size.to_bytes p.fragment_size) '\xEE' in
+  (* Filler payloads, sent as descriptors.  Header bit flips can make
+     a parser read past the real header into the payload, up to
+     [Header.max_size] bytes in all, so that much filler stays real and
+     a corrupted header parses exactly as it would over the whole
+     frame; the rest rides as padding. *)
+  let size = Units.Size.to_bytes p.fragment_size in
+  let filler = Bytes.make (min size Mmt.Header.max_size) '\xEE' in
+  let padding = size - Bytes.length filler in
   let gap =
     Units.Rate.transmission_time (Units.Rate.scale rate 0.1) p.fragment_size
   in
@@ -433,7 +427,7 @@ let run p =
     ignore
       (Mmt_sim.Engine.schedule engine
          ~at:(Units.Time.scale gap (float_of_int i))
-         (fun () -> Mmt.Sender.send sender (Bytes.copy payload)))
+         (fun () -> Mmt.Sender.send sender ~padding filler))
   done;
   (* Watchdog-bounded run: a fault mix that provoked a zero-delay
      event livelock would spin a pure time cap forever; the budget

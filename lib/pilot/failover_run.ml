@@ -60,19 +60,7 @@ let snoop_element point =
       };
     process =
       (fun ~now:_ packet ->
-        (if point.alive then
-           let frame = Mmt_sim.Packet.frame packet in
-           match Mmt.Encap.locate frame with
-           | Error _ -> ()
-           | Ok (_encap, off) -> (
-               match Mmt.Header.View.of_frame ~off frame with
-               | Ok view
-                 when Mmt.Header.View.kind view = Mmt.Feature.Kind.Data
-                      && Mmt.Header.View.has view Mmt.Feature.Sequenced ->
-                   Mmt.Buffer_host.store point.host
-                     ~seq:(Mmt.Header.View.sequence view)
-                     ~born:packet.Mmt_sim.Packet.born (Bytes.copy frame)
-               | Ok _ | Error _ -> ()));
+        if point.alive then Mmt.Buffer_host.snoop point.host packet;
         Mmt_innet.Element.Forward packet);
   }
 
@@ -322,16 +310,16 @@ let run p =
         deadline_budget = None;
         backpressure_to = None;
         pace = None;
-        padding = 0;
       }
   in
-  let payload = Bytes.make (Units.Size.to_bytes p.fragment_size) '\xEE' in
+  (* Filler payloads: nothing but wire size, sent as a descriptor. *)
+  let padding = Units.Size.to_bytes p.fragment_size in
   let gap = Units.Rate.transmission_time (Units.Rate.scale rate 0.1) p.fragment_size in
   for i = 0 to p.fragment_count - 1 do
     ignore
       (Mmt_sim.Engine.schedule engine
          ~at:(Units.Time.scale gap (float_of_int i))
-         (fun () -> Mmt.Sender.send sender (Bytes.copy payload)))
+         (fun () -> Mmt.Sender.send sender ~padding Bytes.empty))
   done;
   Mmt_sim.Engine.run ~until:(Units.Time.seconds 12.) engine;
   Mmt_innet.Control_plane.stop control;

@@ -249,10 +249,8 @@ let construct config topo =
         (Mmt.Encap.Over_ipv4
            { src = Address.dtn1_ip; dst = Address.dtn2_ip; dscp = 0; ttl = 64 })
       ~pool:(node_pool dtn1)
-      ~on_rewrite:(fun ~seq ~born frame ->
-        match seq with
-        | Some seq -> Mmt.Buffer_host.store buffer ~seq ~born frame
-        | None -> ())
+      ~on_rewrite:(fun ~seq packet ->
+        Option.iter (fun seq -> Mmt.Buffer_host.store buffer ~seq packet) seq)
       ()
   in
   let dtn1_route packet =
@@ -366,8 +364,8 @@ let construct config topo =
   in
   let receiver =
     Mmt.Receiver.create ~env:env_d2 (receiver_config config)
-      ~deliver:(fun _meta payload ->
-        match Mmt_daq.Fragment.decode payload with
+      ~deliver:(fun meta payload ->
+        match Mmt_daq.Fragment.decode ~padding:meta.Mmt.Receiver.padding payload with
         | Ok fragment ->
             ignore
               (Mmt_daq.Event_builder.add event_builder
@@ -438,23 +436,14 @@ let construct config topo =
         deadline_budget = None;
         backpressure_to = None;
         pace = None;
-        padding = 0;
       }
   in
   let sensor_ring = node_ring sensor in
   Mmt_sim.Node.set_handler sensor (fun packet ->
       (if not packet.Mmt_sim.Packet.corrupted then
-         match Mmt.Encap.strip (Mmt_sim.Packet.frame packet) with
+         match Mmt.Encap.unwrap (Mmt_sim.Packet.frame packet) with
          | Error _ -> ()
-         | Ok (_encap, mmt_frame) -> (
-             match Mmt.Header.decode_bytes mmt_frame with
-             | Error _ -> ()
-             | Ok header ->
-                 let payload =
-                   Bytes.sub mmt_frame (Mmt.Header.size header)
-                     (Bytes.length mmt_frame - Mmt.Header.size header)
-                 in
-                 Mmt.Sender.on_control sender header payload));
+         | Ok (header, payload) -> Mmt.Sender.on_control sender header payload);
       (* The sensor consumes whatever reaches it (control + strays). *)
       Mmt_sim.Ring.in_packet_done sensor_ring packet);
 
@@ -478,7 +467,8 @@ let construct config topo =
           ~rng:(Rng.split workload_rng)
           (workload_config slice)
           ~emit:(fun fragment ->
-            Mmt.Sender.send sender (Mmt_daq.Fragment.encode fragment))
+            Mmt.Sender.send sender ~padding:fragment.Mmt_daq.Fragment.padding
+              (Mmt_daq.Fragment.encode fragment))
           ~until)
   in
 

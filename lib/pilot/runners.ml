@@ -295,10 +295,8 @@ module Placement_run = struct
       Mmt_innet.Mode_rewriter.create ~mode
         ~re_encap:
           (Mmt.Encap.Over_ipv4 { src = buffer_ip; dst = sink_ip; dscp = 0; ttl = 64 })
-        ~on_rewrite:(fun ~seq ~born frame ->
-          match seq with
-          | Some seq -> Mmt.Buffer_host.store buffer ~seq ~born frame
-          | None -> ())
+        ~on_rewrite:(fun ~seq packet ->
+          Option.iter (fun seq -> Mmt.Buffer_host.store buffer ~seq packet) seq)
         ~pool:(Mmt_sim.Ring.pool ring) ()
     in
     let route packet =
@@ -348,10 +346,9 @@ module Placement_run = struct
           deadline_budget = None;
           backpressure_to = None;
           pace = None;
-          padding = 0;
         }
     in
-    let payload = Bytes.make (Units.Size.to_bytes p.fragment_size) '\xC3' in
+    let padding = Units.Size.to_bytes p.fragment_size in
     let gap =
       Units.Rate.transmission_time (Units.Rate.scale p.rate 0.2) p.fragment_size
     in
@@ -359,7 +356,7 @@ module Placement_run = struct
       ignore
         (Mmt_sim.Engine.schedule engine
            ~at:(Units.Time.scale gap (float_of_int i))
-           (fun () -> Mmt.Sender.send sender (Bytes.copy payload)))
+           (fun () -> Mmt.Sender.send sender ~padding Bytes.empty))
     done;
     Mmt_sim.Engine.run ~until:(Units.Time.seconds 600.) engine;
     let stats = Mmt.Receiver.stats receiver in
@@ -452,7 +449,6 @@ module Priority_run = struct
         deadline_budget;
         backpressure_to = None;
         pace = None;
-        padding = 0;
       }
     in
     let bulk_sender = Mmt.Sender.create ~env (sender_config 0) in
@@ -493,15 +489,14 @@ module Priority_run = struct
                 Mmt.Receiver.on_packet alert_rx packet
             | Ok _ -> Mmt.Receiver.on_packet bulk_rx packet
             | Error _ -> ()));
-    let bulk_payload = Bytes.make 8192 'B' in
+
     let bulk_gap = Units.Rate.transmission_time p.bulk_rate (Units.Size.bytes 8192) in
     for i = 0 to p.bulk_count - 1 do
       ignore
         (Mmt_sim.Engine.schedule engine
            ~at:(Units.Time.scale bulk_gap (float_of_int i))
-           (fun () -> Mmt.Sender.send bulk_sender (Bytes.copy bulk_payload)))
+           (fun () -> Mmt.Sender.send bulk_sender ~padding:8192 Bytes.empty))
     done;
-    let alert_payload = Bytes.make 1024 'A' in
     let alert_gap =
       Units.Rate.transmission_time (Units.Rate.mbps 200.) (Units.Size.bytes 1024)
     in
@@ -509,7 +504,7 @@ module Priority_run = struct
       ignore
         (Mmt_sim.Engine.schedule engine
            ~at:(Units.Time.scale alert_gap (float_of_int i))
-           (fun () -> Mmt.Sender.send alert_sender (Bytes.copy alert_payload)))
+           (fun () -> Mmt.Sender.send alert_sender ~padding:1024 Bytes.empty))
     done;
     Mmt_sim.Engine.run ~until:(Units.Time.seconds 60.) engine;
     let alerts = Mmt.Receiver.stats alert_rx in

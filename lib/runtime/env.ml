@@ -11,14 +11,10 @@ type t = {
 let now t = Mmt_sim.Engine.now t.engine
 let after t delay fn = Mmt_sim.Engine.schedule_after t.engine ~delay fn
 
-let packet t ?(padding = 0) frame =
-  Mmt_sim.Ring.alloc t.ring ~padding ~id:(t.fresh_id ()) ~born:(now t) frame
-
-let packet_sized t ?(padding = 0) len =
-  Mmt_sim.Ring.in_packet t.ring ~padding ~id:(t.fresh_id ()) ~born:(now t) len
+let packet t frame =
+  Mmt_sim.Ring.alloc t.ring ~id:(t.fresh_id ()) ~born:(now t) frame
 
 let retire t packet = Mmt_sim.Ring.in_packet_done t.ring packet
-let pool t = Mmt_sim.Ring.pool t.ring
 
 let loopback ?(local_ip = Addr.Ip.of_octets 127 0 0 1) engine =
   let queue = Queue.create () in

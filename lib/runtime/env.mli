@@ -27,22 +27,13 @@ type t = {
 val now : t -> Units.Time.t
 val after : t -> Units.Time.t -> (unit -> unit) -> Mmt_sim.Engine.handle
 
-val packet : t -> ?padding:int -> bytes -> Mmt_sim.Packet.t
+val packet : t -> bytes -> Mmt_sim.Packet.t
 (** Wrap a frame into a ring packet born now with a fresh identity;
     the frame is recycled into the ring's pool at retirement. *)
-
-val packet_sized : t -> ?padding:int -> int -> Mmt_sim.Packet.t
-(** A packet born now whose frame is a pool buffer of exactly the
-    given length, contents unspecified: the caller must overwrite
-    every byte.  The allocation-free way to build a frame in place. *)
 
 val retire : t -> Mmt_sim.Packet.t -> unit
 (** Declare the packet fully consumed: return its slot and frame to
     the ring.  The caller must be the packet's last holder. *)
-
-val pool : t -> Mmt_sim.Pool.t
-(** The ring's embedded frame pool, for copy paths that recycle bare
-    frames. *)
 
 val loopback :
   ?local_ip:Addr.Ip.t -> Mmt_sim.Engine.t -> t * Mmt_sim.Packet.t Queue.t

@@ -1,10 +1,13 @@
 (** Simulated packets.
 
-    A packet carries its real on-wire frame as [bytes] (the header
-    stack that in-network elements parse and rewrite) plus an optional
-    [padding] byte count so that jumbo-frame payloads can be modelled
-    without materializing them: the wire size used for serialization
-    delay is [Bytes.length frame + padding]. *)
+    A packet is a descriptor: [frame] holds the bytes something reads —
+    the encapsulation (Ethernet/IPv4), the transport header, and any
+    payload a consumer decodes (a DAQ fragment's header and random
+    stamp, LArTPC windows, control messages) — and [padding] counts
+    the payload filler that follows them on the wire but is never
+    materialized.  The wire size used for queueing, serialization and
+    byte counts is [Bytes.length frame + padding]; every header
+    checksum, bit flip and in-network element works on [frame]. *)
 
 open Mmt_util
 

@@ -235,6 +235,7 @@ let fragment detector payload =
     experiment = experiment_id;
     detector;
     payload;
+    padding = 0;
   }
 
 let detectors =
@@ -256,6 +257,36 @@ let test_fragment_roundtrip_all_detectors () =
           Alcotest.(check bool) "roundtrip" true (Mmt_daq.Fragment.equal f decoded)
       | Error e -> Alcotest.fail e)
     detectors
+
+(* A descriptor fragment: 8 real payload bytes, 7192 bytes of filler
+   carried as the packet's padding. *)
+let test_fragment_descriptor_roundtrip () =
+  let f =
+    {
+      (fragment (List.hd detectors) (Bytes.of_string "STAMP-01")) with
+      Mmt_daq.Fragment.padding = 7192;
+    }
+  in
+  Alcotest.(check int) "logical payload" 7200 (Mmt_daq.Fragment.payload_length f);
+  Alcotest.(check int) "wire size counts the filler" (28 + 12 + 7200)
+    (Mmt_daq.Fragment.total_size f);
+  let raw = Mmt_daq.Fragment.encode f in
+  Alcotest.(check int) "only real bytes are encoded" (28 + 12 + 8) (Bytes.length raw);
+  Alcotest.(check int) "payload-length field is logical" 7200
+    (Int32.to_int (Bytes.get_int32_be raw 24));
+  (match Mmt_daq.Fragment.decode ~padding:7192 raw with
+  | Ok decoded ->
+      Alcotest.(check bool) "roundtrip" true (Mmt_daq.Fragment.equal f decoded);
+      Alcotest.(check string) "stamp" "STAMP-01"
+        (Bytes.to_string decoded.Mmt_daq.Fragment.payload)
+  | Error e -> Alcotest.fail e);
+  let rejects what padding =
+    Alcotest.(check bool) what true
+      (match Mmt_daq.Fragment.decode ?padding raw with Error _ -> true | Ok _ -> false)
+  in
+  rejects "without the carrier's padding" None;
+  rejects "padding short of the filler" (Some 7191);
+  rejects "padding beyond the payload length" (Some 7201)
 
 let test_fragment_sizes () =
   let f = fragment (List.hd detectors) (Bytes.make 100 'x') in
@@ -385,7 +416,7 @@ let test_replay_profile_exact () =
   let _w =
     Mmt_daq.Workload.start ~engine ~rng config
       ~emit:(fun f ->
-        got := (f.Mmt_daq.Fragment.timestamp, Bytes.length f.Mmt_daq.Fragment.payload) :: !got)
+        got := (f.Mmt_daq.Fragment.timestamp, Mmt_daq.Fragment.payload_length f) :: !got)
       ~until:(Units.Time.ms 5.)
   in
   Mmt_sim.Engine.run engine;
@@ -418,7 +449,7 @@ let test_synthesize_capture_shape () =
   in
   let _w =
     Mmt_daq.Workload.start ~engine ~rng config
-      ~emit:(fun f -> bytes := !bytes + Bytes.length f.Mmt_daq.Fragment.payload)
+      ~emit:(fun f -> bytes := !bytes + Mmt_daq.Fragment.payload_length f)
       ~until:(Units.Time.ms 100.)
   in
   Mmt_sim.Engine.run engine;
@@ -466,6 +497,7 @@ let eb_fragment ~trigger ~slice =
       Mmt_daq.Fragment.Wib_ethernet
         { crate = 0; slot = slice; fiber = 0; first_channel = 0; channel_count = 8 };
     payload = Bytes.empty;
+    padding = 0;
   }
 
 let test_event_builder_completes () =
@@ -540,6 +572,7 @@ let suite =
     Alcotest.test_case "photon workload payload" `Quick test_photon_workload_payload;
     Alcotest.test_case "fragment roundtrip (4 detectors)" `Quick
       test_fragment_roundtrip_all_detectors;
+    Alcotest.test_case "fragment descriptor roundtrip" `Quick test_fragment_descriptor_roundtrip;
     Alcotest.test_case "fragment sizes" `Quick test_fragment_sizes;
     Alcotest.test_case "fragment bad magic" `Quick test_fragment_bad_magic;
     Alcotest.test_case "fragment truncated" `Quick test_fragment_truncated_payload;

@@ -381,7 +381,6 @@ let sender_config ?deadline_budget ?backpressure_to ?pace () =
     deadline_budget;
     backpressure_to;
     pace;
-    padding = 0;
   }
 
 let test_sender_mode0_frames () =
@@ -501,7 +500,8 @@ let test_buffer_host_serves_nak () =
   let env, queue = Mmt_runtime.Env.loopback engine in
   let host = Mmt.Buffer_host.create ~env ~capacity:(Units.Size.mib 1) () in
   for seq = 0 to 4 do
-    Mmt.Buffer_host.store host ~seq ~born:Units.Time.zero (Bytes.make 50 'f')
+    Mmt.Buffer_host.store host ~seq
+      (Mmt_sim.Packet.create ~id:seq ~born:Units.Time.zero (Bytes.make 50 'f'))
   done;
   Mmt.Buffer_host.on_packet host
     (nak_packet ~engine ~requester:(Addr.Ip.of_octets 10 0 3 1) [ (1, 2); (4, 4) ]);
@@ -512,6 +512,42 @@ let test_buffer_host_serves_nak () =
   Alcotest.(check int) "resent" 3 stats.Mmt.Buffer_host.frames_resent;
   Alcotest.(check int) "no escalation" 0 stats.Mmt.Buffer_host.escalated
 
+(* A stored descriptor comes back as the same wire size and birth time:
+   the materialized header bytes plus the original padding.  Every slot
+   drawn from the host's ring returns to it once the resend is
+   consumed. *)
+let test_buffer_host_resend_descriptor () =
+  let engine = Mmt_sim.Engine.create () in
+  let env, queue = Mmt_runtime.Env.loopback engine in
+  let ring = env.Mmt_runtime.Env.ring in
+  let host = Mmt.Buffer_host.create ~env ~capacity:(Units.Size.mib 1) () in
+  let header = Mmt.Header.encode (Mmt.Header.with_sequence (Mmt.Header.mode0 ~experiment) 7) in
+  let born = Units.Time.us 42. in
+  let forwarded =
+    Mmt_sim.Ring.in_packet ring ~padding:4000 ~id:1 ~born (Bytes.length header)
+  in
+  Bytes.blit header 0 (Mmt_sim.Packet.frame forwarded) 0 (Bytes.length header);
+  Mmt.Buffer_host.store host ~seq:7 forwarded;
+  (* The forwarded original moves on and is consumed downstream. *)
+  Mmt_runtime.Env.retire env forwarded;
+  Mmt.Buffer_host.on_packet host
+    (nak_packet ~engine ~requester:(Addr.Ip.of_octets 10 0 3 1) [ (7, 7) ]);
+  (match drain_queue queue with
+  | [ resent ] ->
+      Alcotest.(check int) "wire size preserved" (Bytes.length header + 4000)
+        (Units.Size.to_bytes (Mmt_sim.Packet.wire_size resent));
+      Alcotest.(check int) "padding preserved" 4000 resent.Mmt_sim.Packet.padding;
+      Alcotest.(check bool) "born preserved" true
+        (Units.Time.equal born resent.Mmt_sim.Packet.born);
+      Alcotest.(check string) "header bytes" (Bytes.to_string header)
+        (Bytes.to_string (Mmt_sim.Packet.frame resent));
+      Mmt_runtime.Env.retire env resent
+  | _ -> Alcotest.fail "expected one resend");
+  let stats = Mmt_sim.Ring.stats ring in
+  Alcotest.(check int) "ring quiescent" 0 stats.Mmt_sim.Ring.in_use;
+  Alcotest.(check int) "forwarded frame and its resend" 2
+    stats.Mmt_sim.Ring.acquired
+
 let test_buffer_host_escalates_misses () =
   let engine = Mmt_sim.Engine.create () in
   let env, queue = Mmt_runtime.Env.loopback engine in
@@ -520,7 +556,8 @@ let test_buffer_host_escalates_misses () =
   let stored_frame =
     Bytes.cat (Mmt.Header.encode (Mmt.Header.mode0 ~experiment)) (Bytes.make 50 'f')
   in
-  Mmt.Buffer_host.store host ~seq:0 ~born:Units.Time.zero stored_frame;
+  Mmt.Buffer_host.store host ~seq:0
+    (Mmt_sim.Packet.create ~id:0 ~born:Units.Time.zero stored_frame);
   Mmt.Buffer_host.on_packet host
     (nak_packet ~engine ~requester:(Addr.Ip.of_octets 10 0 3 1) [ (0, 2) ]);
   let out = drain_queue queue in
@@ -586,6 +623,8 @@ let suite =
     Alcotest.test_case "sender pacing" `Quick test_sender_pacing_spacing;
     Alcotest.test_case "sender backpressure" `Quick test_sender_backpressure_adjusts_pace;
     Alcotest.test_case "buffer host serves NAK" `Quick test_buffer_host_serves_nak;
+    Alcotest.test_case "buffer host resends descriptor" `Quick
+      test_buffer_host_resend_descriptor;
     Alcotest.test_case "buffer host escalates" `Quick test_buffer_host_escalates_misses;
     Alcotest.test_case "buffer host unserviceable" `Quick
       test_buffer_host_unserviceable_without_upstream;

@@ -259,6 +259,7 @@ let test_alert_generator_thresholds () =
           Mmt_daq.Fragment.Wib_ethernet
             { crate = 1; slot = 0; fiber = 0; first_channel = 0; channel_count = 8 };
         payload = Mmt_daq.Lartpc.serialize_hits hits;
+        padding = 0;
       }
     in
     let header = Mmt.Header.mode0 ~experiment:fragment.Mmt_daq.Fragment.experiment in
@@ -322,6 +323,7 @@ let test_alert_generator_rate_limit () =
         experiment = Mmt.Experiment_id.make ~experiment:2 ~slice:0;
         detector = Mmt_daq.Fragment.Photon_detector { module_id = 0; sipm_count = 1; gain = 1 };
         payload = Mmt_daq.Lartpc.serialize_hits [ loud ];
+        padding = 0;
       }
     in
     let header = Mmt.Header.mode0 ~experiment:fragment.Mmt_daq.Fragment.experiment in

@@ -88,7 +88,7 @@ let test_rewriter_activates_mode () =
   let stored = ref [] in
   let rewriter =
     Mmt_innet.Mode_rewriter.create ~pool:(Mmt_sim.Pool.create ()) ~mode:wan_mode
-      ~on_rewrite:(fun ~seq ~born:_ _frame -> stored := seq :: !stored)
+      ~on_rewrite:(fun ~seq _packet -> stored := seq :: !stored)
       ()
   in
   let element = Mmt_innet.Mode_rewriter.element rewriter in
@@ -272,6 +272,10 @@ let test_duplicator_fans_out () =
   let dup = Mmt_innet.Duplicator.create ~env ~consumers () in
   let element = Mmt_innet.Duplicator.element dup in
   let packet = mode0_packet ~engine ~id:7 32 in
+  (* A descriptor with history: the copies carry all of it. *)
+  packet.Mmt_sim.Packet.padding <- 4000;
+  packet.Mmt_sim.Packet.corrupted <- true;
+  packet.Mmt_sim.Packet.hops <- 3;
   (match element.Mmt_innet.Element.process ~now:Units.Time.zero packet with
   | Mmt_innet.Element.Forward p ->
       (* Original forwarded unmarked. *)
@@ -288,7 +292,10 @@ let test_duplicator_fans_out () =
         (Mmt.Feature.Set.mem Mmt.Feature.Duplicated
            (header_of_packet copy).Mmt.Header.features);
       Alcotest.(check bool) "fresh identity" true
-        (copy.Mmt_sim.Packet.id <> packet.Mmt_sim.Packet.id))
+        (copy.Mmt_sim.Packet.id <> packet.Mmt_sim.Packet.id);
+      Alcotest.(check int) "padding" 4000 copy.Mmt_sim.Packet.padding;
+      Alcotest.(check bool) "corrupted" true copy.Mmt_sim.Packet.corrupted;
+      Alcotest.(check int) "hops" 3 copy.Mmt_sim.Packet.hops)
     !copies;
   let stats = Mmt_innet.Duplicator.stats dup in
   Alcotest.(check int) "duplicated" 1 stats.Mmt_innet.Duplicator.duplicated;

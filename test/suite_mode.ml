@@ -83,7 +83,7 @@ let frame_of_size n = Bytes.make n 'x'
 
 let test_retx_store_fetch () =
   let buffer = Mmt.Retx_buffer.create ~capacity:(Units.Size.kib 1) in
-  Mmt.Retx_buffer.store buffer ~seq:1 ~born:(Units.Time.us 5.) (frame_of_size 100);
+  Mmt.Retx_buffer.store buffer ~seq:1 ~born:(Units.Time.us 5.) ~padding:0 (frame_of_size 100);
   (match Mmt.Retx_buffer.fetch buffer ~seq:1 with
   | Some entry ->
       Alcotest.(check int) "frame size" 100 (Bytes.length entry.Mmt.Retx_buffer.frame);
@@ -98,7 +98,7 @@ let test_retx_store_fetch () =
 let test_retx_eviction_oldest_first () =
   let buffer = Mmt.Retx_buffer.create ~capacity:(Units.Size.bytes 300) in
   for seq = 0 to 3 do
-    Mmt.Retx_buffer.store buffer ~seq ~born:Units.Time.zero (frame_of_size 100)
+    Mmt.Retx_buffer.store buffer ~seq ~born:Units.Time.zero ~padding:0 (frame_of_size 100)
   done;
   Alcotest.(check bool) "oldest evicted" false (Mmt.Retx_buffer.contains buffer ~seq:0);
   Alcotest.(check bool) "newest kept" true (Mmt.Retx_buffer.contains buffer ~seq:3);
@@ -110,8 +110,8 @@ let test_retx_eviction_oldest_first () =
 
 let test_retx_overwrite_same_seq () =
   let buffer = Mmt.Retx_buffer.create ~capacity:(Units.Size.kib 1) in
-  Mmt.Retx_buffer.store buffer ~seq:5 ~born:Units.Time.zero (frame_of_size 100);
-  Mmt.Retx_buffer.store buffer ~seq:5 ~born:Units.Time.zero (frame_of_size 200);
+  Mmt.Retx_buffer.store buffer ~seq:5 ~born:Units.Time.zero ~padding:0 (frame_of_size 100);
+  Mmt.Retx_buffer.store buffer ~seq:5 ~born:Units.Time.zero ~padding:0 (frame_of_size 200);
   (match Mmt.Retx_buffer.fetch buffer ~seq:5 with
   | Some entry -> Alcotest.(check int) "latest wins" 200 (Bytes.length entry.Mmt.Retx_buffer.frame)
   | None -> Alcotest.fail "expected hit");
@@ -121,8 +121,54 @@ let test_retx_overwrite_same_seq () =
 
 let test_retx_oversized_frame_rejected () =
   let buffer = Mmt.Retx_buffer.create ~capacity:(Units.Size.bytes 50) in
-  Mmt.Retx_buffer.store buffer ~seq:1 ~born:Units.Time.zero (frame_of_size 100);
+  Mmt.Retx_buffer.store buffer ~seq:1 ~born:Units.Time.zero ~padding:0 (frame_of_size 100);
   Alcotest.(check bool) "not stored" false (Mmt.Retx_buffer.contains buffer ~seq:1)
+
+(* A descriptor (a 64-byte materialized frame plus padding) must account
+   exactly like the full frame it stands for: same occupancy, high-water
+   marks, evictions and surviving entries, under overwrites, evictions
+   and an oversized store. *)
+let test_retx_descriptor_accounts_like_full_frame () =
+  let header = 64 in
+  let full = Mmt.Retx_buffer.create ~capacity:(Units.Size.kib 16) in
+  let descriptor = Mmt.Retx_buffer.create ~capacity:(Units.Size.kib 16) in
+  let sizes = [ 4096; 900; 7200; 7200; 4096; 20_000; 1500; 9000; 64; 3000 ] in
+  List.iteri
+    (fun i size ->
+      (* Sequence 3 is overwritten by a later store. *)
+      let seq = if i = 6 then 3 else i in
+      let born = Units.Time.us (float_of_int i) in
+      Mmt.Retx_buffer.store full ~seq ~born ~padding:0 (frame_of_size size);
+      Mmt.Retx_buffer.store descriptor ~seq ~born ~padding:(size - header)
+        (frame_of_size header);
+      let a = Mmt.Retx_buffer.stats full and b = Mmt.Retx_buffer.stats descriptor in
+      let bytes = Units.Size.to_bytes in
+      Alcotest.(check int) "occupancy" (bytes a.occupancy) (bytes b.occupancy);
+      Alcotest.(check int) "occupancy high water"
+        (bytes a.occupancy_high_water) (bytes b.occupancy_high_water);
+      Alcotest.(check int) "entries" a.entries b.entries;
+      Alcotest.(check int) "entries high water" a.entries_high_water
+        b.entries_high_water;
+      Alcotest.(check int) "stored" a.stored b.stored;
+      Alcotest.(check int) "evicted" a.evicted b.evicted)
+    sizes;
+  let survivors buffer =
+    List.filter (fun seq -> Mmt.Retx_buffer.contains buffer ~seq) (List.init 10 Fun.id)
+  in
+  Alcotest.(check (list int)) "same eviction order" (survivors full) (survivors descriptor);
+  Alcotest.(check bool) "evictions happened" true
+    ((Mmt.Retx_buffer.stats full).Mmt.Retx_buffer.evicted > 1);
+  List.iter
+    (fun seq ->
+      match (Mmt.Retx_buffer.fetch full ~seq, Mmt.Retx_buffer.fetch descriptor ~seq) with
+      | Some a, Some b ->
+          Alcotest.(check int) "wire bytes"
+            (Bytes.length a.Mmt.Retx_buffer.frame)
+            (Bytes.length b.Mmt.Retx_buffer.frame + b.Mmt.Retx_buffer.padding);
+          Alcotest.(check bool) "born" true
+            (Units.Time.equal a.Mmt.Retx_buffer.born b.Mmt.Retx_buffer.born)
+      | _ -> Alcotest.fail "survivor missing")
+    (survivors full)
 
 let qcheck_retx_capacity_invariant =
   QCheck.Test.make ~name:"occupancy never exceeds capacity" ~count:100
@@ -131,7 +177,7 @@ let qcheck_retx_capacity_invariant =
       let buffer = Mmt.Retx_buffer.create ~capacity:(Units.Size.bytes 1000) in
       List.iteri
         (fun seq size ->
-          Mmt.Retx_buffer.store buffer ~seq ~born:Units.Time.zero (frame_of_size size))
+          Mmt.Retx_buffer.store buffer ~seq ~born:Units.Time.zero ~padding:0 (frame_of_size size))
         sizes;
       Units.Size.to_bytes (Mmt.Retx_buffer.stats buffer).Mmt.Retx_buffer.occupancy <= 1000)
 
@@ -151,5 +197,7 @@ let suite =
     Alcotest.test_case "retx eviction" `Quick test_retx_eviction_oldest_first;
     Alcotest.test_case "retx overwrite" `Quick test_retx_overwrite_same_seq;
     Alcotest.test_case "retx oversized" `Quick test_retx_oversized_frame_rejected;
+    Alcotest.test_case "retx descriptor accounts like full frame" `Quick
+      test_retx_descriptor_accounts_like_full_frame;
     QCheck_alcotest.to_alcotest qcheck_retx_capacity_invariant;
   ]

@@ -263,6 +263,104 @@ let test_flow_meter () =
   Alcotest.(check bool) "peak is first bin" true
     (Float.abs (Units.Rate.to_bps (Mmt_telemetry.Flow_meter.peak meter) -. 16e6) < 1.)
 
+(* Synthetic payloads ride as descriptors: the fragment header and the
+   8-byte random stamp are real bytes, the filler is [Packet.padding].
+   These digests were recorded while every payload byte was still
+   materialized, so any change in what the simulator observes — wire
+   sizes, timing, recovery, decoded fragments, built events — shows. *)
+let digest_of value =
+  Digest.to_hex (Digest.string (Marshal.to_string value [ Marshal.No_sharing ]))
+
+let materialized_pilot_reference = "d1c1df1c929c3a5f4198af4c36329c07"
+
+let test_pilot_synthetic_digest () =
+  let _pilot, r = run Mmt_pilot.Pilot.default_config in
+  Alcotest.(check string)
+    "default Synthetic-7200 pilot results unchanged" materialized_pilot_reference
+    (digest_of r)
+
+(* A replayed capture (per-record sizes, [Workload.Replay]) through a
+   mode-0 sender and a receiver; each delivered payload is decoded as a
+   fragment and observed by its logical size and its stamp. *)
+let materialized_replay_reference = "a1a5bb51bd82794524d0fcd4cb929d13"
+
+let test_replay_descriptor_digest () =
+  let engine = Mmt_sim.Engine.create () in
+  let rng = Rng.create ~seed:21L in
+  let dune = Mmt_daq.Experiment.find Mmt_daq.Experiment.Dune in
+  let capture =
+    Mmt_daq.Workload.synthesize_capture ~rng ~experiment:dune ~scale:1e-6
+      ~duration:(Units.Time.ms 40.)
+  in
+  let tx_env, wire = Mmt_runtime.Env.loopback engine in
+  let rx_env, _ = Mmt_runtime.Env.loopback engine in
+  let sender =
+    Mmt.Sender.create ~env:tx_env
+      {
+        Mmt.Sender.experiment = dune.Mmt_daq.Experiment.id;
+        destination = Mmt_frame.Addr.Ip.of_octets 10 0 0 2;
+        encap =
+          Mmt.Encap.Over_ipv4
+            {
+              src = Mmt_frame.Addr.Ip.of_octets 10 0 0 1;
+              dst = Mmt_frame.Addr.Ip.of_octets 10 0 0 2;
+              dscp = 0;
+              ttl = 64;
+            };
+        deadline_budget = None;
+        backpressure_to = None;
+        pace = None;
+      }
+  in
+  let seen = ref [] in
+  let receiver =
+    Mmt.Receiver.create ~env:rx_env
+      {
+        Mmt.Receiver.experiment = dune.Mmt_daq.Experiment.id;
+        nak_delay = Units.Time.ms 1.;
+        nak_retry_timeout = Units.Time.ms 5.;
+        max_nak_retries = 3;
+        expected_total = None;
+      }
+      ~deliver:(fun meta payload ->
+        match Mmt_daq.Fragment.decode ~padding:meta.Mmt.Receiver.padding payload with
+        | Error e -> Alcotest.fail e
+        | Ok f ->
+            seen :=
+              ( f.Mmt_daq.Fragment.trigger,
+                Units.Time.to_ns f.Mmt_daq.Fragment.timestamp,
+                Mmt_daq.Fragment.total_size f,
+                Bytes.sub_string f.Mmt_daq.Fragment.payload 0 8 )
+              :: !seen)
+  in
+  let config =
+    {
+      Mmt_daq.Workload.experiment = dune;
+      scale = 1e-6;
+      profile = Mmt_daq.Workload.Replay capture;
+      payload = Mmt_daq.Workload.Synthetic (Units.Size.bytes 7200);
+      run = 3;
+      slice = 1;
+    }
+  in
+  let workload =
+    Mmt_daq.Workload.start ~engine ~rng config
+      ~emit:(fun f ->
+        Mmt.Sender.send sender ~padding:f.Mmt_daq.Fragment.padding
+          (Mmt_daq.Fragment.encode f))
+      ~until:(Units.Time.ms 40.)
+  in
+  Mmt_sim.Engine.run engine;
+  Queue.iter (Mmt.Receiver.on_packet receiver) wire;
+  Alcotest.(check bool) "replayed a capture" true (List.length !seen > 50);
+  Alcotest.(check string)
+    "replayed fragments, sizes and stamps unchanged" materialized_replay_reference
+    (digest_of
+       ( List.rev !seen,
+         Mmt_daq.Workload.stats workload,
+         Mmt.Sender.stats sender,
+         Mmt.Receiver.stats receiver ))
+
 let suite =
   [
     Alcotest.test_case "pilot reliable under loss" `Slow test_pilot_reliable_delivery_under_loss;
@@ -280,6 +378,8 @@ let suite =
     Alcotest.test_case "udp loses data" `Slow test_udp_runner_loses_data;
     Alcotest.test_case "placement shrinks recovery" `Slow
       test_placement_runner_recovery_latency_shrinks;
+    Alcotest.test_case "pilot synthetic digest pinned" `Slow test_pilot_synthetic_digest;
+    Alcotest.test_case "replay descriptor digest pinned" `Quick test_replay_descriptor_digest;
     Alcotest.test_case "report rendering" `Quick test_report_rendering;
     Alcotest.test_case "flow meter" `Quick test_flow_meter;
   ]

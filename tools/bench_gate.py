@@ -28,6 +28,12 @@ The ring-buffer packet path (PR 8) adds two more families of checks:
   Minor-word counts are deterministic for a fixed seed and build, so
   this bound holds on any machine.
 
+Synthetic frames are descriptors (headers real, filler as padding), so
+`fanin_direct_major_words_per_frame` — words allocated straight onto the
+major heap, per delivered frame, over a small E-F5 fan-in point — may
+not exceed FANIN_MAJOR_WORDS.  A materialized 4 KiB payload costs over
+500 words per copy; the count does not depend on the machine.
+
 Usage: bench_gate.py BASELINE.json CURRENT.json
 """
 
@@ -42,6 +48,7 @@ SHARDED_SANITY = 6.0  # sharded vs sequential, when the box is core-starved
 FORWARD_FACTOR = 4.0  # forwarded packet may cost at most this many engine events
 RECYCLE_FLOOR = 0.99  # pilot ring: retired / acquired must not drop below this
 POOLED_HEADROOM = 1.25  # pilot minor words per event vs the baseline's
+FANIN_MAJOR_WORDS = 64  # fan-in direct major-heap words per delivered frame
 
 
 def main() -> int:
@@ -163,6 +170,14 @@ def main() -> int:
                 f"pilot minor words per event {base_words:.2f} -> "
                 f"{words:.2f} (more than {POOLED_HEADROOM}x the baseline)"
             )
+
+    fanin_major = current.get("fanin_direct_major_words_per_frame")
+    if fanin_major is not None and fanin_major > FANIN_MAJOR_WORDS:
+        failures.append(
+            f"fan-in allocates {fanin_major:.1f} direct major-heap words per "
+            f"delivered frame (bound {FANIN_MAJOR_WORDS}): payload bytes are "
+            f"being materialized"
+        )
 
     shared = sorted(set(base_micro) & set(cur_micro))
     print(f"bench gate: {len(shared)} shared micro-benchmarks checked")
